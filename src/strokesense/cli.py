@@ -452,7 +452,7 @@ def _apply_config(parser, argv):
         for a in sp._actions
     }
     extra = []
-    given = set(rest)
+    given = {arg.split("=", 1)[0] for arg in rest}  # --flag value, --flag=value
     for key, value in spec.items():
         if key not in known:
             parser.error(f"unknown config key {key!r}")

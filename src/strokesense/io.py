@@ -21,21 +21,6 @@ CHANNEL_NAMES = ["ax", "ay", "az", "gx", "gy", "gz", "rx", "ry", "rz"]
 
 
 @dataclass(frozen=True)
-class SampleFrame:
-    """One timestamped 9-channel sample."""
-
-    t: float
-    acc: tuple
-    gyro: tuple
-    angle: tuple
-
-    def __post_init__(self):
-        vals = (self.t,) + tuple(self.acc) + tuple(self.gyro) + tuple(self.angle)
-        if not all(np.isfinite(v) for v in vals):
-            raise MalformedRow(f"non-finite value in frame at t={self.t!r}")
-
-
-@dataclass(frozen=True)
 class GapReport:
     """A spacing anomaly between samples ``index`` and ``index + 1``."""
 
@@ -97,15 +82,6 @@ class SensorSeries:
     def __len__(self) -> int:
         return self._t.shape[0]
 
-    def frame(self, i: int) -> SampleFrame:
-        row = self._channels[i]
-        return SampleFrame(
-            t=float(self._t[i]),
-            acc=tuple(row[0:3]),
-            gyro=tuple(row[3:6]),
-            angle=tuple(row[6:9]),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, SensorSeries):
             return NotImplemented
@@ -120,18 +96,17 @@ def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
     """Parse the canonical CSV layout into a :class:`SensorSeries`.
 
     ``source`` may be the whole text, an iterable of lines, or an open
-    text file.
+    text file.  The data rows are converted in one ``np.loadtxt`` call,
+    which rounds exactly as ``float()`` does.  Input it does not take
+    cleanly (a bad field, field count or period directive, a ``#`` in a
+    row, a non-finite value) is re-read row by row, which accepts what
+    ``float()`` accepts and raises the error for the first bad line.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
-
-    period = DEFAULT_PERIOD
-    ts, rows = [], []
+    lines = source.splitlines() if isinstance(source, str) else source
+    period, linenos, data, error = DEFAULT_PERIOD, [], [], None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
+        if not line or line.replace(" ", "") == HEADER:
             continue
         if line.startswith("#"):
             body = line.lstrip("#").strip()
@@ -139,28 +114,48 @@ def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
                 try:
                     period = float(body.split("=", 1)[1])
                 except ValueError:
-                    raise MalformedRow(f"line {lineno}: bad period directive {line!r}")
+                    error = MalformedRow(
+                        f"line {lineno}: bad period directive {line!r}"
+                    )
+                    break
             continue
-        if line.replace(" ", "") == HEADER:
-            continue
-        fields = line.split(",")
-        if len(fields) != 10:
-            raise MalformedRow(f"line {lineno}: expected 10 fields, got {len(fields)}")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
-        if not all(np.isfinite(v) for v in values):
-            raise MalformedRow(f"line {lineno}: non-finite value")
-        ts.append(values[0])
-        rows.append(values[1:])
+        linenos.append(lineno)
+        data.append(line)
 
-    if not rows:
-        raise EmptyInput("no data rows in input")
-    t = np.array(ts)
+    table = None
+    if data and error is None:
+        try:
+            table = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if (
+        table is None
+        or table.shape[1] != 10
+        or not np.isfinite(table).all()
+    ):
+        rows = [_parse_row(lineno, line) for lineno, line in zip(linenos, data)]
+        if error is not None:
+            raise error
+        if not rows:
+            raise EmptyInput("no data rows in input")
+        table = np.array(rows)
+    t = table[:, 0]
     if t.size > 1 and not (np.diff(t) > 0).all():
         raise NonMonotonicTime("timestamps must be strictly increasing")
-    return SensorSeries(t, np.array(rows), sample_period=period)
+    return SensorSeries(t, table[:, 1:], sample_period=period)
+
+
+def _parse_row(lineno: int, line: str) -> list:
+    fields = line.split(",")
+    if len(fields) != 10:
+        raise MalformedRow(f"line {lineno}: expected 10 fields, got {len(fields)}")
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
+    if not all(np.isfinite(v) for v in values):
+        raise MalformedRow(f"line {lineno}: non-finite value")
+    return values
 
 
 def serialize_series(series: SensorSeries) -> str:

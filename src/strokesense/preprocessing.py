@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientSupport, TooShort
+from .errors import InsufficientSupport, NonMonotonicTime, TooShort
 from .io import SensorSeries
 
 SIGMA_EPS_SCALE = 1e-12  # degenerate-spread guard for outlier removal
@@ -130,22 +130,30 @@ def newton_fill(channel: ChannelSeries, support: int = 4) -> ChannelSeries:
     on its four nearest known samples.
 
     Gaps are filled left to right; earlier fills become usable support for
-    later ones.
+    later ones.  So when gap ``j`` is filled every sample left of it is
+    known, and its four nearest supports lie among ``j-4 .. j-1`` and the
+    first four originally known samples right of ``j``.  One
+    ``searchsorted`` over the known positions finds those candidates for
+    all gaps, which makes the fill O(gaps + n).  Ties on distance go to
+    the lower index (a stable sort of the candidates in index order).
     """
     values = channel.values.copy()
-    known = channel.present.copy()
     positions = channel.positions
-    if known.sum() < support:
+    known_idx = np.nonzero(channel.present)[0]
+    if len(known_idx) < support:
         raise InsufficientSupport(
-            f"need at least {support} known samples, have {int(known.sum())}"
+            f"need at least {support} known samples, have {len(known_idx)}"
         )
-    for j in np.nonzero(~channel.present)[0]:
-        avail = np.nonzero(known)[0]
-        order = np.argsort(np.abs(positions[avail] - positions[j]), kind="stable")
-        picked = np.sort(avail[order[:support]])
+    missing = np.nonzero(~channel.present)[0]
+    right = np.searchsorted(known_idx, missing)
+    for j, r in zip(missing.tolist(), right.tolist()):
+        near = np.concatenate(
+            (np.arange(max(j - support, 0), j), known_idx[r : r + support])
+        )
+        order = np.argsort(np.abs(positions[near] - positions[j]), kind="stable")
+        picked = np.sort(near[order[:support]])
         xs, ys = positions[picked], values[picked]
         values[j] = _divided_difference_fill(xs, ys, float(positions[j]))
-        known[j] = True
     return ChannelSeries(values, positions.copy(), np.ones(len(values), dtype=bool))
 
 
@@ -155,28 +163,25 @@ def adaptive_filter(channel: ChannelSeries, state: FilterState) -> ChannelSeries
     Each step forms a provisional output at the default gain k0 to measure
     the step size D; when |D| exceeds the motion threshold the gain becomes
     (1 - delta_a/|D|) * k0 clamped to [0, k0], otherwise the output holds.
+    The recurrence runs on plain Python floats, which round exactly as
+    float64 array elements do.
     """
     _require_gap_free(channel)
-    x = channel.values
-    y = np.empty_like(x)
-    if len(x) == 0:
-        return ChannelSeries(y, channel.positions.copy(), channel.present.copy())
-    y_prev = x[0] if state.y_prev is None else state.y_prev
-    y[0] = x[0] if state.y_prev is None else _filter_step(x[0], y_prev, state)
-    for n in range(1, len(x)):
-        y[n] = _filter_step(x[n], y[n - 1], state)
-    return ChannelSeries(y, channel.positions.copy(), np.ones(len(x), dtype=bool))
-
-
-def _filter_step(x: float, y_prev: float, state: FilterState) -> float:
-    provisional = state.k0 * x + (1.0 - state.k0) * y_prev
-    delta = provisional - y_prev
-    if abs(delta) > state.delta_a:
-        m = (1.0 - state.delta_a / abs(delta)) * state.k0
-        m = min(max(m, 0.0), state.k0)
-    else:
-        m = 0.0
-    return m * x + (1.0 - m) * y_prev
+    xs = channel.values.tolist()
+    k0, delta_a = state.k0, state.delta_a
+    hold = 1.0 - k0
+    ys = xs[:1] if state.y_prev is None else []
+    y_prev = xs[0] if ys else state.y_prev
+    for x in xs[len(ys) :]:
+        step = abs(k0 * x + hold * y_prev - y_prev)
+        if step > delta_a:
+            m = min(max((1.0 - delta_a / step) * k0, 0.0), k0)
+        else:
+            m = 0.0
+        y_prev = m * x + (1.0 - m) * y_prev
+        ys.append(y_prev)
+    y = np.array(ys, dtype=float)
+    return ChannelSeries(y, channel.positions.copy(), np.ones(len(y), dtype=bool))
 
 
 def preprocess_channel(
@@ -215,11 +220,21 @@ def preprocess_series(
 
     Rows implied by timestamp gaps are re-created on the nominal sample
     grid and interpolated alongside outlier-induced gaps.  The result is
-    gap-free and uniformly sampled.
+    gap-free and uniformly sampled.  Two rows that round to the same grid
+    slot raise :class:`NonMonotonicTime` rather than one overwriting the
+    other.
     """
     p = series.sample_period
     t0 = float(series.t[0])
     idx = np.round((series.t - t0) / p).astype(int)
+    clash = np.nonzero(np.diff(idx) == 0)[0]
+    if clash.size:
+        i = int(clash[0])
+        raise NonMonotonicTime(
+            f"rows {i} and {i + 1} (t={float(series.t[i])!r}, "
+            f"{float(series.t[i + 1])!r}) round to the same grid slot "
+            f"{int(idx[i])} at period {p!r}"
+        )
     n_full = int(idx[-1]) + 1
     grid_t = t0 + np.arange(n_full) * p
     base_present = np.zeros(n_full, dtype=bool)

@@ -1,12 +1,17 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately written as straight-line loops over the
-defining formulas, sharing no code with the library paths it checks.
+defining formulas, sharing no code with the library paths it checks.  The
+gap fill and the CSV parser keep their first, one-sample-at-a-time
+implementations, so the faster library paths can be held to them bit for
+bit.
 """
 
 import math
 
 import numpy as np
+
+from strokesense.errors import EmptyInput, MalformedRow, NonMonotonicTime
 
 
 def brute_diff_stats(values):
@@ -159,3 +164,67 @@ def count_confusion(true, pred, n_classes=6):
     for t, p in zip(true, pred):
         counts[t][p] += 1
     return np.array(counts)
+
+
+def reference_newton_fill(values, positions, present, support=4):
+    """Gap fill as first written: for every missing sample, a stable
+    argsort of the distances to all samples known so far, the `support`
+    nearest taken in index order, and the Newton divided-difference form
+    evaluated by Horner's rule.  Returns the filled values."""
+    values = np.array(values, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    known = np.array(present, dtype=bool)
+    for j in np.nonzero(~known)[0]:
+        avail = np.nonzero(known)[0]
+        order = np.argsort(np.abs(positions[avail] - positions[j]), kind="stable")
+        picked = np.sort(avail[order[:support]])
+        xs, coeffs = positions[picked], values[picked].copy()
+        n = len(xs)
+        for k in range(1, n):
+            for i in range(n - 1, k - 1, -1):
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - k])
+        result = coeffs[-1]
+        for i in range(n - 2, -1, -1):
+            result = result * (float(positions[j]) - xs[i]) + coeffs[i]
+        values[j] = float(result)
+        known[j] = True
+    return values
+
+
+def reference_parse_series(text):
+    """The line-by-line CSV parser as first written.  Returns
+    (t, channels, period) or raises the library's error for the first
+    bad line (only the exception types are shared with the library)."""
+    period = 0.01
+    ts, rows = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if body.startswith("period="):
+                try:
+                    period = float(body.split("=", 1)[1])
+                except ValueError:
+                    raise MalformedRow(f"line {lineno}: bad period directive {line!r}")
+            continue
+        if line.replace(" ", "") == "t,ax,ay,az,gx,gy,gz,rx,ry,rz":
+            continue
+        fields = line.split(",")
+        if len(fields) != 10:
+            raise MalformedRow(f"line {lineno}: expected 10 fields, got {len(fields)}")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise MalformedRow(f"line {lineno}: non-finite value")
+        ts.append(values[0])
+        rows.append(values[1:])
+    if not rows:
+        raise EmptyInput("no data rows in input")
+    t = np.array(ts)
+    if t.size > 1 and not (np.diff(t) > 0).all():
+        raise NonMonotonicTime("timestamps must be strictly increasing")
+    return t, np.array(rows), period

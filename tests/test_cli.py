@@ -198,6 +198,17 @@ class TestConfig:
         capsys.readouterr()
         assert (out_a / "data.csv").read_bytes() == (out_b / "data.csv").read_bytes()
 
+    def test_explicit_equals_flag_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        out_a = tmp_path / "a"
+        run("synth", "--config", cfg, "--seed=3", "--strokes-per-class", 2, "--out", out_a)
+        capsys.readouterr()
+        out_b = tmp_path / "b"
+        run("synth", "--seed", 3, "--strokes-per-class", 2, "--out", out_b)
+        capsys.readouterr()
+        assert (out_a / "data.csv").read_bytes() == (out_b / "data.csv").read_bytes()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_flag": 1}))

@@ -9,7 +9,8 @@ from oracles import (
     lagrange_eval,
     reference_adaptive_filter,
 )
-from strokesense.errors import InsufficientSupport, TooShort
+from strokesense.errors import InsufficientSupport, NonMonotonicTime, TooShort
+from strokesense.io import SensorSeries
 from strokesense.preprocessing import (
     ChannelSeries,
     FilterState,
@@ -17,6 +18,7 @@ from strokesense.preprocessing import (
     diff_stats,
     newton_fill,
     preprocess_channel,
+    preprocess_series,
     remove_outliers,
 )
 
@@ -206,3 +208,12 @@ class TestPreprocessChannel:
         rms_out = np.sqrt(np.mean((out.values - clean) ** 2))
         rms_in = np.sqrt(np.mean((noisy - clean) ** 2))
         assert rms_out < rms_in
+
+
+class TestPreprocessSeries:
+    def test_jittered_rows_on_one_grid_slot_rejected(self):
+        # 0.0 and 0.004 both round onto slot 0; row 0 used to be dropped.
+        t = np.array([0.0, 0.004, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06])
+        series = SensorSeries(t, np.ones((8, 9)))
+        with pytest.raises(NonMonotonicTime, match="rows 0 and 1"):
+            preprocess_series(series)
