@@ -23,6 +23,7 @@ from .scoring import (
     StandardProfile,
     ahp_weights,
     build_profile,
+    indicator_matrix,
     score_window,
     total_score,
 )
@@ -35,6 +36,13 @@ from .svm import (
     train_pairwise_svm,
 )
 from .synth import GenConfig, generate, stroke_windows
-from .windows import MotionWindow, activation_features, is_active, slide_windows, train_activation
+from .windows import (
+    MotionWindow,
+    activation_features,
+    activation_matrix,
+    is_active,
+    slide_windows,
+    train_activation,
+)
 
 __version__ = "0.1.0"

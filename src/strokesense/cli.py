@@ -80,7 +80,7 @@ def _read_features(path):
         fields = line.split(",")
         labels.append(fields[0])
         rows.append([float(v) for v in fields[1:]])
-    return labels, np.array(rows)
+    return labels, np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
 
 
 def _windows_from_files(data_path, windows_path):
@@ -173,7 +173,7 @@ def _cmd_segment(args):
 def _cmd_extract(args):
     _, windows = _windows_from_files(args.infile, args.windows)
     labels = [w.label.name if w.label is not None else "" for w in windows]
-    X = np.array([window_features(w) for w in windows])
+    X = np.array([window_features(w) for w in windows]).reshape(len(windows), len(FEATURE_NAMES))
     _write_features(args.out, labels, X)
     _summary(command="extract", windows=len(windows), features=X.shape[1], out=args.out)
 
@@ -430,41 +430,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="write a simple SVG heat map")
     p.set_defaults(func=_cmd_report)
 
+    parser.subcommands = sub.choices
     return parser
 
 
 def _apply_config(parser, argv):
-    """Pull --config out of argv and fold its values in as defaults."""
-    if "--config" not in argv:
+    """Fold ``--config FILE`` into argv: each value becomes a
+    ``--flag=value`` placed right after the subcommand.  argparse keeps the
+    last occurrence of a flag, so an explicit flag, in any spelling it
+    accepts (``--seed 3``, ``--seed=3``, ``--se 3``), wins; config values
+    still pass argparse's type and choice checks and satisfy required
+    flags."""
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    i = argv.index("--config")
     try:
-        path = argv[i + 1]
-    except IndexError:
-        parser.error("--config needs a file argument")
-    spec = json.loads(Path(path).read_text())
-    rest = argv[:i] + argv[i + 2 :]
-    if not rest:
+        spec = json.loads(Path(known.config).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {known.config}: {exc}")
+    if not isinstance(spec, dict):
+        parser.error("config must be a JSON object of flag values")
+    at = next((k for k, arg in enumerate(rest) if not arg.startswith("-")), None)
+    if at is None or rest[at] not in parser.subcommands:
         parser.error("--config requires a subcommand")
-    known = {
-        a.dest
-        for sp in parser._subparsers._group_actions[0].choices.values()
-        for a in sp._actions
+    command = rest[at]
+    flags = {
+        a.dest: a.option_strings[0]
+        for a in parser.subcommands[command]._actions
+        if a.option_strings
     }
     extra = []
-    given = {arg.split("=", 1)[0] for arg in rest}  # --flag value, --flag=value
     for key, value in spec.items():
-        if key not in known:
-            parser.error(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if flag in given:
-            continue  # explicit flag wins
+        if key not in flags:
+            parser.error(f"config key {key!r} is not a flag of {command}")
         if isinstance(value, bool):
             if value:
-                extra.append(flag)
+                extra.append(flags[key])
         else:
-            extra.extend([flag, str(value)])
-    return rest + extra
+            extra.append(f"{flags[key]}={value}")
+    return rest[: at + 1] + extra + rest[at + 1 :]
 
 
 def main(argv=None) -> int:

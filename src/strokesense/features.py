@@ -4,14 +4,33 @@ Each window yields 180 features: 12 channels (three sensor axes plus the
 resultant magnitude, per sensor) x 15 statistics.  All moments use the
 population (1/n) convention; ratio statistics whose denominator collapses
 are defined as 0.
-"""
 
-from dataclasses import dataclass, fields as dataclass_fields
+One kernel computes all 15 statistics as reductions over the last axis of
+a (b, 12, width) block: the windows' channels stacked, each sensor's
+magnitude appended, and the sample axis made contiguous.
+:func:`feature_matrix` runs it over blocks of windows (see
+:func:`strokesense.windows.block_rows`), so memory stays flat in the
+number of windows; :func:`window_features` and :func:`channel_stats` are
+one-window and one-channel calls of the same kernel.
+
+The results are bit-identical to reducing each channel on its own, which
+rests on these rounding rules:
+
+* numpy sums a contiguous last axis pairwise, exactly as it sums a lone
+  1-D channel, strided or not;
+* the exponentiations ``variance ** 1.5``, ``variance ** 2`` and the
+  margin denominator ``mean(sqrt|x|) ** 2`` run on Python floats, because
+  numpy's array power differs from Python's ``float ** y`` in the last bit
+  for those exponents;
+* ``centered ** 3``, ``centered ** 4`` and ``x ** 4`` stay numpy array
+  powers (``c * c * c`` does not round the same way);
+* the partner channel's sigma is its own ``sqrt(variance)``.
+"""
 
 import numpy as np
 
 from .errors import TooShort
-from .windows import MotionWindow
+from .windows import MotionWindow, block_rows
 
 DEN_EPS = 1e-12
 
@@ -54,115 +73,88 @@ FEATURE_NAMES = [f"{ch}_{st}" for ch in CHANNEL_NAMES for st in STAT_NAMES]
 N_FEATURES = len(FEATURE_NAMES)
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """The 15 per-channel statistics, in layout order."""
-
-    mean: float
-    variance: float
-    max: float
-    min: float
-    peak_valley: float
-    mean_square: float
-    rms: float
-    corr: float
-    crest: float
-    pulse: float
-    margin: float
-    kurtosis_factor: float
-    waveform: float
-    skewness: float
-    kurtosis: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in dataclass_fields(self)])
-
-
-def _guarded(num: float, den: float) -> float:
-    return 0.0 if abs(den) < DEN_EPS else num / den
-
-
-def channel_stats(x, pair) -> ChannelStats:
-    """Compute the 15 statistics of one channel.
-
-    ``pair`` is the partner channel for the correlation coefficient.
-    Dimensionless ratios (crest, pulse, margin, waveform) put the
-    peak-valley span or RMS over mean-absolute-value denominators.
-    """
-    x = np.asarray(x, dtype=float)
-    pair = np.asarray(pair, dtype=float)
-    n = len(x)
-    if n < 2 or len(pair) != n:
-        raise TooShort("need at least 2 samples and an equal-length pair channel")
-
-    mean = float(x.mean())
-    centered = x - mean
-    variance = float(np.mean(centered**2))
-    x_max, x_min = float(x.max()), float(x.min())
-    pv = x_max - x_min
-    mean_square = float(np.mean(x**2))
-    rms = float(np.sqrt(mean_square))
-    mean_abs = float(np.mean(np.abs(x)))
-
-    pair_mean = pair.mean()
-    cov = float(np.mean((x - mean) * (pair - pair_mean)))
-    sig_x = float(np.sqrt(variance))
-    sig_p = float(np.sqrt(np.mean((pair - pair_mean) ** 2)))
-    corr = _guarded(cov, sig_x * sig_p)
-
-    crest = _guarded(pv, rms)
-    pulse = _guarded(pv, mean_abs)
-    margin = _guarded(pv, float(np.mean(np.sqrt(np.abs(x)))) ** 2)
-    kurtosis_factor = _guarded(float(np.mean(x**4)), rms)
-    waveform = _guarded(rms, mean_abs)
-    skewness = _guarded(float(np.mean(centered**3)), variance**1.5)
-    kurt_raw = _guarded(float(np.mean(centered**4)), variance**2)
-    kurtosis = kurt_raw - 3.0 if kurt_raw != 0.0 else 0.0
-
-    return ChannelStats(
-        mean=mean,
-        variance=variance,
-        max=x_max,
-        min=x_min,
-        peak_valley=pv,
-        mean_square=mean_square,
-        rms=rms,
-        corr=corr,
-        crest=crest,
-        pulse=pulse,
-        margin=margin,
-        kurtosis_factor=kurtosis_factor,
-        waveform=waveform,
-        skewness=skewness,
-        kurtosis=kurtosis,
-    )
-
-
-def _twelve_channels(window: MotionWindow) -> np.ndarray:
-    """(width, 12) array in layout order, magnitudes appended per sensor."""
-    cols = []
-    for block in (window.acc, window.gyro, window.angle):
-        cols.append(block)
-        cols.append(np.linalg.norm(block, axis=1)[:, None])
-    return np.hstack(cols)
-
-
 #: Correlation partner index per channel: cyclic x->y->z->x within a
 #: sensor; magnitudes pair with the next sensor's magnitude (acc->gyro->
 #: angle->acc).
 CORR_PARTNER = [1, 2, 0, 7, 5, 6, 4, 11, 9, 10, 8, 3]
 
 
-def window_features(window: MotionWindow) -> np.ndarray:
-    """The 180-feature vector of a window, in :data:`FEATURE_NAMES` order."""
-    chans = _twelve_channels(window)
-    out = np.empty(N_FEATURES)
-    for ci in range(len(CHANNEL_NAMES)):
-        stats = channel_stats(chans[:, ci], chans[:, CORR_PARTNER[ci]])
-        out[ci * len(STAT_NAMES) : (ci + 1) * len(STAT_NAMES)] = stats.as_array()
-    return out
+def _guarded(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    small = np.abs(den) < DEN_EPS
+    return np.where(small, 0.0, num / np.where(small, 1.0, den))
+
+
+def _float_pow(a: np.ndarray, y: float) -> np.ndarray:
+    """``a ** y`` element by element on Python floats."""
+    return np.array([v**y for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _stats(x: np.ndarray, partner) -> np.ndarray:
+    """The 15 statistics, (b, c, 15), over the last axis of a contiguous
+    (b, c, n) block; channel ``i`` correlates with channel ``partner[i]``.
+
+    Dimensionless ratios (crest, pulse, margin, waveform) put the
+    peak-valley span or RMS over mean-absolute-value denominators.
+    """
+    if x.shape[-1] < 2:
+        raise TooShort("need at least 2 samples per channel")
+    mean = x.mean(axis=-1)
+    centered = x - mean[..., None]
+    variance = np.mean(centered**2, axis=-1)
+    x_max, x_min = x.max(axis=-1), x.min(axis=-1)
+    pv = x_max - x_min
+    mean_square = np.mean(x**2, axis=-1)
+    rms = np.sqrt(mean_square)
+    mean_abs = np.mean(np.abs(x), axis=-1)
+
+    cov = np.mean(centered * centered[:, partner], axis=-1)
+    sigma = np.sqrt(variance)
+    corr = _guarded(cov, sigma * sigma[:, partner])
+
+    crest = _guarded(pv, rms)
+    pulse = _guarded(pv, mean_abs)
+    margin = _guarded(pv, _float_pow(np.mean(np.sqrt(np.abs(x)), axis=-1), 2))
+    kurtosis_factor = _guarded(np.mean(x**4, axis=-1), rms)
+    waveform = _guarded(rms, mean_abs)
+    skewness = _guarded(np.mean(centered**3, axis=-1), _float_pow(variance, 1.5))
+    kurt_raw = _guarded(np.mean(centered**4, axis=-1), _float_pow(variance, 2))
+    kurtosis = np.where(kurt_raw != 0.0, kurt_raw - 3.0, 0.0)
+
+    return np.stack(
+        [mean, variance, x_max, x_min, pv, mean_square, rms, corr, crest,
+         pulse, margin, kurtosis_factor, waveform, skewness, kurtosis],
+        axis=-1,
+    )
+
+
+def channel_stats(x, pair) -> np.ndarray:
+    """The 15 statistics of one channel, in :data:`STAT_NAMES` order.
+
+    ``pair`` is the partner channel for the correlation coefficient.
+    """
+    x = np.asarray(x, dtype=float)
+    pair = np.asarray(pair, dtype=float)
+    if len(x) < 2 or len(pair) != len(x):
+        raise TooShort("need at least 2 samples and an equal-length pair channel")
+    return _stats(np.stack([x, pair])[None], [1, 0])[0, 0]
+
+
+def _feature_block(channels: np.ndarray, sample_period: float) -> np.ndarray:
+    """(b, 180) features of a stacked (b, width, 9) block."""
+    b, width, _ = channels.shape
+    sensors = channels.reshape(b, width, 3, 3)
+    mags = np.linalg.norm(sensors, axis=-1)[..., None]
+    twelve = np.concatenate([sensors, mags], axis=-1).reshape(b, width, 12)
+    block = np.ascontiguousarray(twelve.transpose(0, 2, 1))
+    return _stats(block, CORR_PARTNER).reshape(b, N_FEATURES)
 
 
 def feature_matrix(windows) -> np.ndarray:
-    """Stack window features row-wise into an (m, 180) matrix."""
-    return np.array([window_features(w) for w in windows])
+    """The (m, 180) feature matrix, one row per window in
+    :data:`FEATURE_NAMES` order; (0, 180) for no windows."""
+    return block_rows(_feature_block, windows, N_FEATURES)
+
+
+def window_features(window: MotionWindow) -> np.ndarray:
+    """The 180-feature vector of a window, in :data:`FEATURE_NAMES` order."""
+    return feature_matrix([window])[0]

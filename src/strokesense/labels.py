@@ -17,6 +17,9 @@ class StrokeLabel(IntEnum):
         return cls[key]
 
 
+#: Number of stroke classes.
+N_CLASSES = len(StrokeLabel)
+
 #: Canonical spellings used in CSV sidecars and JSON reports.
 LABEL_NAMES = [label.name for label in StrokeLabel]
 

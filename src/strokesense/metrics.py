@@ -8,18 +8,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import BadLabel, LengthMismatch
+from .labels import N_CLASSES
 
-N_CLASSES = 6
 DEFAULT_ALPHA = 0.7
-
-
-@dataclass(frozen=True)
-class FMeasureConfig:
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
 @dataclass
@@ -71,7 +62,8 @@ def precision_recall(m: ConfusionMatrix, cls: int) -> Tuple[float, float]:
 
 def f_measure(m: ConfusionMatrix, cls: int, alpha: float = DEFAULT_ALPHA) -> float:
     """2TP / (2TP + 2*alpha*FN + 2*(1-alpha)*FP); empty denominator -> 0."""
-    FMeasureConfig(alpha)  # validate
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not 0 <= cls < N_CLASSES:
         raise BadLabel(f"class {cls} outside 0-5")
     tp, fp, fn = _tp_fp_fn(m, cls)

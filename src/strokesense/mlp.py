@@ -11,13 +11,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .labels import StrokeLabel
+from .labels import N_CLASSES, StrokeLabel
 
 DEFAULT_HIDDEN = (120, 120)
 DEFAULT_LR = 0.01
 DEFAULT_EPOCHS = 200
 EARLY_STOP_TOL = 1e-5
-N_CLASSES = 6
 
 
 @dataclass

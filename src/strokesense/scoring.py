@@ -23,7 +23,7 @@ from .errors import (
     TooFew,
 )
 from .labels import StrokeLabel
-from .windows import MotionWindow
+from .windows import MotionWindow, block_rows
 
 N_LEVELS = 5
 N_INDICATORS = 15
@@ -123,6 +123,12 @@ def ahp_weights(a) -> np.ndarray:
 
 # --- per-window indicator values ------------------------------------------
 
+def _velocity(acc: np.ndarray, acc_mean: np.ndarray, sample_period: float) -> np.ndarray:
+    """Trapezoidal velocity of (..., width, 3) acceleration along the
+    sample axis, after removing its window mean (..., 1, 3); v(0) = 0."""
+    return cumulative_trapezoid(acc - acc_mean, dx=sample_period, axis=-2, initial=0.0)
+
+
 def derive_velocity(window: MotionWindow) -> np.ndarray:
     """Per-axis velocity (width, 3): trapezoidal integration of mean-
     removed acceleration, v(0) = 0.
@@ -130,33 +136,45 @@ def derive_velocity(window: MotionWindow) -> np.ndarray:
     Subtracting the window-mean acceleration strips gravity and sensor
     bias and bounds integration drift over a single stroke window.
     """
-    acc = window.acc - window.acc.mean(axis=0)
-    return cumulative_trapezoid(acc, dx=window.sample_period, axis=0, initial=0.0)
+    return _velocity(window.acc, window.acc.mean(axis=0), window.sample_period)
 
 
-def _direction_angles(vec: np.ndarray) -> np.ndarray:
-    """Per-axis direction angles of a 3-vector, degrees; a vanishing
-    vector maps to the neutral 90 degrees."""
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return np.full(3, 90.0)
-    return np.degrees(np.arccos(np.clip(vec / norm, -1.0, 1.0)))
+def _direction_angles(vecs: np.ndarray) -> np.ndarray:
+    """Per-axis direction angles of each row of an (m, 3) array, degrees;
+    a vanishing vector maps to the neutral 90 degrees.
+
+    Each row's norm is ``np.linalg.norm`` of that 3-vector alone, a dot
+    product; a norm along an axis rounds differently.
+    """
+    norms = np.array([np.linalg.norm(v) for v in vecs])
+    small = norms < 1e-12
+    cosines = np.clip(vecs / np.where(small, 1.0, norms)[:, None], -1.0, 1.0)
+    return np.where(small[:, None], 90.0, np.degrees(np.arccos(cosines)))
+
+
+def _indicator_block(channels: np.ndarray, sample_period: float) -> np.ndarray:
+    """(b, 15) indicator values of a stacked (b, width, 9) block."""
+    b = len(channels)
+    acc = channels[:, :, 0:3]
+    acc_mean = acc.mean(axis=1)
+    v = _velocity(acc, acc_mean[:, None], sample_period)
+    # one mean over the sample axis, which sums each column in sample order
+    # whatever the number of columns
+    means = np.concatenate([np.abs(acc), v, np.abs(v), channels[:, :, 6:9]], axis=2).mean(axis=1)
+    angles = _direction_angles(np.concatenate([acc_mean, means[:, 3:6]]))
+    return np.concatenate([means[:, 0:3], angles[:b], means[:, 6:9], angles[b:], means[:, 9:12]], axis=1)
+
+
+def indicator_matrix(windows: Sequence[MotionWindow]) -> np.ndarray:
+    """The 15 indicator values per window, (m, 15), five levels x three
+    axes: mean |acc| per axis; acc-direction angles; mean |v| per axis;
+    velocity-direction angles; window-mean Euler angles."""
+    return block_rows(_indicator_block, windows, N_INDICATORS)
 
 
 def indicator_values(window: MotionWindow) -> np.ndarray:
-    """The 15 per-window indicator values, five levels x three axes:
-    mean |acc| per axis; acc-direction angles; mean |v| per axis;
-    velocity-direction angles; window-mean Euler angles."""
-    v = derive_velocity(window)
-    return np.concatenate(
-        [
-            np.abs(window.acc).mean(axis=0),
-            _direction_angles(window.acc.mean(axis=0)),
-            np.abs(v).mean(axis=0),
-            _direction_angles(v.mean(axis=0)),
-            window.angle.mean(axis=0),
-        ]
-    )
+    """The 15 indicator values of one window."""
+    return indicator_matrix([window])[0]
 
 
 # --- reference profiles ---------------------------------------------------
@@ -247,29 +265,18 @@ def build_profile(reference_windows: Sequence[MotionWindow]) -> StandardProfile:
     if stroke is None:
         raise MixedLabels("reference windows must be labeled")
 
-    V = np.array([indicator_values(w) for w in reference_windows])
-    specs = []
-    for i in range(N_INDICATORS):
-        col = V[:, i]
-        center = float(col.mean())
-        up, down = float(col.max()), float(col.min())
-        eps = 1e-6 * max(1.0, abs(center))
-        if up - down < eps:
-            up, down = center + eps, center - eps
-        lo, hi = float(np.percentile(col, 5)), float(np.percentile(col, 95))
-        k = max(float(col.std()), eps)
-        specs.append(
-            IndicatorSpec(
-                kind=LEVEL_KINDS[i // 3],
-                center=center,
-                up=up,
-                down=down,
-                lo=lo,
-                hi=hi,
-                k1=k,
-                k2=k,
-            )
-        )
+    # one contiguous row per indicator, so each is reduced as a lone column
+    V = np.ascontiguousarray(indicator_matrix(reference_windows).T)
+    center = V.mean(axis=1)
+    up, down = V.max(axis=1), V.min(axis=1)
+    eps = 1e-6 * np.maximum(1.0, np.abs(center))
+    collapsed = up - down < eps
+    up = np.where(collapsed, center + eps, up)
+    down = np.where(collapsed, center - eps, down)
+    lo, hi = np.percentile(V, [5, 95], axis=1)
+    k = np.maximum(V.std(axis=1), eps)
+    table = np.stack([center, up, down, lo, hi, k], axis=1).tolist()
+    specs = [IndicatorSpec(LEVEL_KINDS[i // 3], *row, row[-1]) for i, row in enumerate(table)]
     return StandardProfile(stroke=stroke, indicators=specs)
 
 

@@ -286,7 +286,9 @@ def dag_predict(dag: DagSvmModel, x: np.ndarray, trace: bool = False):
 
 
 def dag_predict_batch(dag: DagSvmModel, X: np.ndarray) -> np.ndarray:
-    return np.array([int(dag_predict(dag, x)) for x in np.atleast_2d(X)])
+    """Integer labels, one per row of X, each walked through the DAG on
+    its own."""
+    return np.array([int(dag_predict(dag, x)) for x in np.atleast_2d(X)], dtype=int)
 
 
 def pairwise_vote(dag: DagSvmModel, x: np.ndarray) -> StrokeLabel:

@@ -1,7 +1,16 @@
-"""Sliding-window segmentation and the stroke activation gate."""
+"""Sliding-window segmentation and the stroke activation gate.
+
+Per-window statistics (activation markers here, the 180 features and the
+15 scoring indicators elsewhere) are computed in blocks: consecutive
+windows of one width and sample period are stacked into a (b, width, 9)
+array, at most ``_BLOCK`` at a time, and reduced along the sample axis
+with the same numpy reductions, in the same memory order, as one window
+alone, so a window's row does not depend on its block.
+"""
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,6 +21,11 @@ from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, smo_solve
 
 DEFAULT_WIDTH = 200
 DEFAULT_OVERLAP = 0.5
+
+#: Windows per stacked block: enough to spread numpy's per-call cost, few
+#: enough that a block's temporaries stay small and peak memory does not
+#: grow with the number of windows.
+_BLOCK = 32
 
 ACTIVATION_FEATURE_NAMES = [
     "acc_mag_mean",
@@ -79,14 +93,44 @@ def slide_windows(
     ]
 
 
+def block_rows(
+    kernel: Callable[[np.ndarray, float], np.ndarray],
+    windows: Sequence[MotionWindow],
+    n_cols: int,
+) -> np.ndarray:
+    """Stack ``kernel(channels, sample_period)`` over blocks of windows.
+
+    Each block holds up to ``_BLOCK`` consecutive windows sharing a width
+    and sample period, their channels stacked as a C-ordered (b, width, 9)
+    array; the kernel returns its (b, n_cols) rows.  No windows give an
+    empty (0, n_cols) array.
+    """
+    rows = []
+    for (_, period), run in groupby(windows, key=lambda w: (w.width, w.sample_period)):
+        run = list(run)
+        for i in range(0, len(run), _BLOCK):
+            rows.append(kernel(np.stack([w.channels for w in run[i : i + _BLOCK]]), period))
+    return np.concatenate(rows) if rows else np.empty((0, n_cols))
+
+
+def _activation_block(channels: np.ndarray, sample_period: float) -> np.ndarray:
+    b, width, _ = channels.shape
+    mags = np.linalg.norm(channels[:, :, 0:6].reshape(b, width, 2, 3), axis=-1)
+    mags = np.ascontiguousarray(mags.transpose(0, 2, 1))  # (b, 2, width)
+    stats = (mags.mean(axis=-1), mags.var(axis=-1), mags.max(axis=-1) - mags.min(axis=-1))
+    return np.stack(stats, axis=-1).reshape(b, 6)
+
+
+def activation_matrix(windows: Sequence[MotionWindow]) -> np.ndarray:
+    """Six activation markers per window, (m, 6): mean, variance and
+    peak-valley of the resultant acceleration and resultant angular-rate
+    magnitudes."""
+    return block_rows(_activation_block, windows, len(ACTIVATION_FEATURE_NAMES))
+
+
 def activation_features(window: MotionWindow) -> np.ndarray:
-    """Six activation markers: mean, variance and peak-valley of the
-    resultant acceleration and resultant angular-rate magnitudes."""
-    out = np.empty(6)
-    for k, block in enumerate((window.acc, window.gyro)):
-        mag = np.linalg.norm(block, axis=1)
-        out[3 * k : 3 * k + 3] = (mag.mean(), mag.var(), mag.max() - mag.min())
-    return out
+    """The six activation markers of one window."""
+    return activation_matrix([window])[0]
 
 
 @dataclass
@@ -130,7 +174,7 @@ def train_activation(
     Features are standardized internally; the returned w/b act on raw
     activation features.
     """
-    X = np.array([activation_features(w) for w, _ in labeled])
+    X = activation_matrix([w for w, _ in labeled])
     y = np.array([1.0 if active else -1.0 for _, active in labeled])
     if len(set(y)) < 2:
         raise SingleClass("need both active and inactive windows")

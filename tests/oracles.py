@@ -3,6 +3,8 @@
 Everything here is deliberately written as straight-line loops over the
 defining formulas, sharing no code with the library paths it checks.  The
 gap fill and the CSV parser keep their first, one-sample-at-a-time
+implementations, and the window statistics (features, activation markers,
+scoring indicators) their first one-window, one-channel-at-a-time numpy
 implementations, so the faster library paths can be held to them bit for
 bit.
 """
@@ -10,6 +12,7 @@ bit.
 import math
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from strokesense.errors import EmptyInput, MalformedRow, NonMonotonicTime
 
@@ -228,3 +231,107 @@ def reference_parse_series(text):
     if t.size > 1 and not (np.diff(t) > 0).all():
         raise NonMonotonicTime("timestamps must be strictly increasing")
     return t, np.array(rows), period
+
+
+# --- window statistics as first written, one window at a time ---------------
+
+#: Correlation partner per channel of the 12-channel feature layout.
+REFERENCE_CORR_PARTNER = [1, 2, 0, 7, 5, 6, 4, 11, 9, 10, 8, 3]
+
+
+def _reference_guarded(num, den):
+    return 0.0 if abs(den) < 1e-12 else num / den
+
+
+def reference_channel_stats(x, pair):
+    """The 15 statistics of one channel as first written: one numpy
+    reduction per statistic, ratios guarded on Python floats."""
+    x = np.asarray(x, dtype=float)
+    pair = np.asarray(pair, dtype=float)
+    mean = float(x.mean())
+    centered = x - mean
+    variance = float(np.mean(centered**2))
+    x_max, x_min = float(x.max()), float(x.min())
+    pv = x_max - x_min
+    mean_square = float(np.mean(x**2))
+    rms = float(np.sqrt(mean_square))
+    mean_abs = float(np.mean(np.abs(x)))
+
+    pair_mean = pair.mean()
+    cov = float(np.mean((x - mean) * (pair - pair_mean)))
+    sig_x = float(np.sqrt(variance))
+    sig_p = float(np.sqrt(np.mean((pair - pair_mean) ** 2)))
+    corr = _reference_guarded(cov, sig_x * sig_p)
+
+    crest = _reference_guarded(pv, rms)
+    pulse = _reference_guarded(pv, mean_abs)
+    margin = _reference_guarded(pv, float(np.mean(np.sqrt(np.abs(x)))) ** 2)
+    kurtosis_factor = _reference_guarded(float(np.mean(x**4)), rms)
+    waveform = _reference_guarded(rms, mean_abs)
+    skewness = _reference_guarded(float(np.mean(centered**3)), variance**1.5)
+    kurt_raw = _reference_guarded(float(np.mean(centered**4)), variance**2)
+    kurtosis = kurt_raw - 3.0 if kurt_raw != 0.0 else 0.0
+    return np.array([
+        mean, variance, x_max, x_min, pv, mean_square, rms, corr, crest,
+        pulse, margin, kurtosis_factor, waveform, skewness, kurtosis,
+    ])
+
+
+def reference_window_features(window):
+    """The 180 features: magnitudes appended per sensor, then the 15
+    statistics of each of the 12 channels of the (width, 12) array."""
+    cols = []
+    for block in (window.acc, window.gyro, window.angle):
+        cols.append(block)
+        cols.append(np.linalg.norm(block, axis=1)[:, None])
+    chans = np.hstack(cols)
+    return np.concatenate([
+        reference_channel_stats(chans[:, ci], chans[:, REFERENCE_CORR_PARTNER[ci]])
+        for ci in range(12)
+    ])
+
+
+def reference_activation_features(window):
+    """Mean, variance and peak-valley of the acc and gyro magnitudes."""
+    out = np.empty(6)
+    for k, block in enumerate((window.acc, window.gyro)):
+        mag = np.linalg.norm(block, axis=1)
+        out[3 * k : 3 * k + 3] = (mag.mean(), mag.var(), mag.max() - mag.min())
+    return out
+
+
+def _reference_direction_angles(vec):
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        return np.full(3, 90.0)
+    return np.degrees(np.arccos(np.clip(vec / norm, -1.0, 1.0)))
+
+
+def reference_indicator_values(window):
+    """The 15 scoring indicators of one window."""
+    acc = window.acc - window.acc.mean(axis=0)
+    v = cumulative_trapezoid(acc, dx=window.sample_period, axis=0, initial=0.0)
+    return np.concatenate([
+        np.abs(window.acc).mean(axis=0),
+        _reference_direction_angles(window.acc.mean(axis=0)),
+        np.abs(v).mean(axis=0),
+        _reference_direction_angles(v.mean(axis=0)),
+        window.angle.mean(axis=0),
+    ])
+
+
+def reference_profile_specs(values):
+    """Per-indicator reference statistics as first pooled, one column of
+    an (m, 15) indicator matrix at a time: (center, up, down, lo, hi, k)."""
+    specs = []
+    for i in range(values.shape[1]):
+        col = values[:, i]
+        center = float(col.mean())
+        up, down = float(col.max()), float(col.min())
+        eps = 1e-6 * max(1.0, abs(center))
+        if up - down < eps:
+            up, down = center + eps, center - eps
+        lo, hi = float(np.percentile(col, 5)), float(np.percentile(col, 95))
+        k = max(float(col.std()), eps)
+        specs.append((center, up, down, lo, hi, k))
+    return specs

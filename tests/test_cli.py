@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from strokesense.cli import main
+from strokesense.windows import LinearSvmModel
 
 
 def run(*args):
@@ -147,6 +148,26 @@ class TestTrainPredictReport:
         capsys.readouterr()
         assert json.loads(model.read_text())["type"] == "mlp"
 
+    def test_gate_keeping_no_window(self, pipeline, tmp_path, capsys):
+        """segment -> extract -> predict on a session the gate rejects
+        whole: empty artifacts, exit 0."""
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps(LinearSvmModel(w=np.zeros(6), b=-1.0, c=1.0).to_dict()))
+        windows, features = tmp_path / "windows.csv", tmp_path / "features.csv"
+        model, preds = tmp_path / "mlp.json", tmp_path / "preds.csv"
+        assert run("segment", "--in", pipeline / "data.csv", "--activation-model", gate,
+                   "--out", windows) == 0
+        assert run("extract", "--in", pipeline / "data.csv", "--windows", windows,
+                   "--out", features) == 0
+        assert run("train", "--in", pipeline / "features.csv", "--pca", pipeline / "pca.json",
+                   "--out", model, "--model", "mlp", "--epochs", 2) == 0
+        assert run("predict", "--in", features, "--pca", pipeline / "pca.json",
+                   "--model", model, "--out", preds) == 0
+        summary = {s["command"]: s for s in map(json.loads, capsys.readouterr().out.splitlines())}
+        assert summary["segment"]["windows"] == summary["extract"]["windows"] == 0
+        assert summary["predict"]["samples"] == 0
+        assert preds.read_text() == "true,predicted\n"
+
 
 class TestEvaluate:
     def test_profile_and_scores(self, pipeline, tmp_path, capsys):
@@ -208,6 +229,42 @@ class TestConfig:
         run("synth", "--seed", 3, "--strokes-per-class", 2, "--out", out_b)
         capsys.readouterr()
         assert (out_a / "data.csv").read_bytes() == (out_b / "data.csv").read_bytes()
+
+    @pytest.mark.parametrize("spelling", [["--se", "3"], ["--se=3"]])
+    def test_abbreviated_flag_beats_config(self, tmp_path, capsys, spelling):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        out_a = tmp_path / "a"
+        run("synth", "--config", cfg, *spelling, "--strokes-per-class", 2, "--out", out_a)
+        capsys.readouterr()
+        out_b = tmp_path / "b"
+        run("synth", "--seed", 3, "--strokes-per-class", 2, "--out", out_b)
+        capsys.readouterr()
+        assert (out_a / "data.csv").read_bytes() == (out_b / "data.csv").read_bytes()
+
+    def test_config_equals_form_and_dest_keys(self, tmp_path, capsys):
+        data = tmp_path / "s"
+        assert run("synth", "--seed", 2, "--strokes-per-class", 1, "--out", data) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"infile": str(data / "data.csv"), "out": str(tmp_path / "a.csv")}))
+        assert run(f"--config={cfg}", "preprocess") == 0
+        assert run("preprocess", "--in", data / "data.csv", "--out", tmp_path / "b.csv") == 0
+        capsys.readouterr()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k0": 0.2}))
+        assert run("synth", "--config", cfg, "--out", tmp_path / "x") == 1
+        assert "k0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [None, "{not json", "[1, 2]"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        if body is not None:
+            cfg.write_text(body)
+        assert run("--config", cfg, "synth", "--out", tmp_path / "x") == 1
+        assert "config" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

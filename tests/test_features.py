@@ -19,6 +19,10 @@ from oracles import naive_channel_stats
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
+#: Position of each statistic in a channel_stats row.
+STAT = {name: i for i, name in enumerate(STAT_NAMES)}
+
+
 def _window(rng, n=200):
     return MotionWindow(0, rng.normal(scale=3.0, size=(n, 9)))
 
@@ -28,7 +32,7 @@ class TestChannelStats:
         rng = np.random.default_rng(3)
         x = rng.normal(size=400)
         partner = rng.normal(size=400)
-        got = channel_stats(x, partner).as_array()
+        got = channel_stats(x, partner)
         want = naive_channel_stats(x, partner)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -37,32 +41,32 @@ class TestChannelStats:
     def test_oracle_property(self, values):
         x = np.array(values)
         partner = np.roll(x, 1)
-        got = channel_stats(x, partner).as_array()
+        got = channel_stats(x, partner)
         want = naive_channel_stats(x, partner)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-9)
 
     def test_zero_signal_all_zero(self):
-        stats = channel_stats(np.zeros(100), np.zeros(100)).as_array()
+        stats = channel_stats(np.zeros(100), np.zeros(100))
         np.testing.assert_array_equal(stats, np.zeros(15))
 
     def test_constant_signal(self):
         stats = channel_stats(np.full(100, 2.0), np.full(100, 2.0))
-        assert stats.mean == 2.0
-        assert stats.variance == 0.0
-        assert stats.rms == 2.0
-        assert stats.max == stats.min == 2.0
-        assert stats.peak_valley == 0.0
+        assert stats[STAT["mean"]] == 2.0
+        assert stats[STAT["variance"]] == 0.0
+        assert stats[STAT["rms"]] == 2.0
+        assert stats[STAT["max"]] == stats[STAT["min"]] == 2.0
+        assert stats[STAT["peak_valley"]] == 0.0
 
     def test_known_values(self):
         x = np.array([1.0, -1.0, 3.0, -3.0])
         stats = channel_stats(x, x)
-        assert stats.mean == 0.0
-        assert stats.variance == 5.0
-        np.testing.assert_allclose(stats.rms, np.sqrt(5.0))
-        assert stats.max == 3.0 and stats.min == -3.0
-        assert stats.peak_valley == 6.0
-        np.testing.assert_allclose(stats.crest, 6.0 / np.sqrt(5.0))
-        np.testing.assert_allclose(stats.corr, 1.0)
+        assert stats[STAT["mean"]] == 0.0
+        assert stats[STAT["variance"]] == 5.0
+        np.testing.assert_allclose(stats[STAT["rms"]], np.sqrt(5.0))
+        assert stats[STAT["max"]] == 3.0 and stats[STAT["min"]] == -3.0
+        assert stats[STAT["peak_valley"]] == 6.0
+        np.testing.assert_allclose(stats[STAT["crest"]], 6.0 / np.sqrt(5.0))
+        np.testing.assert_allclose(stats[STAT["corr"]], 1.0)
 
 
 class TestWindowFeatures:

@@ -81,6 +81,12 @@ class TestPrecisionRecallF:
         assert precision_recall(m, 2) == (1.0, 1.0)
         assert f_measure(m, 2, alpha=0.7) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        m = confusion([0, 1], [0, 1])
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            f_measure(m, 0, alpha=alpha)
+
     @given(labels6, st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=40, deadline=None)
     def test_f_between_zero_and_one(self, true, alpha):

@@ -1,0 +1,185 @@
+"""The batched window layer: bit-equality with the one-window-at-a-time
+reference implementations in oracles.py (features, channel statistics,
+activation markers, scoring indicators, pooled profiles), block edges,
+degenerate windows, and a session whose gate keeps no window.  Every
+equality is exact (np.array_equal)."""
+
+import numpy as np
+import pytest
+
+from oracles import (
+    reference_activation_features,
+    reference_channel_stats,
+    reference_indicator_values,
+    reference_profile_specs,
+    reference_window_features,
+)
+from strokesense.errors import TooShort
+from strokesense.features import N_FEATURES, channel_stats, feature_matrix, window_features
+from strokesense.io import SensorSeries
+from strokesense.labels import StrokeLabel
+from strokesense.mlp import mlp_init, mlp_predict_batch, mlp_train
+from strokesense.pca import fit_pca, transform
+from strokesense.preprocessing import preprocess_series
+from strokesense.scoring import N_INDICATORS, build_profile, indicator_matrix, indicator_values
+from strokesense.svm import dag_predict_batch, train_dagsvm
+from strokesense.synth import GenConfig, generate, stroke_windows
+from strokesense.windows import (
+    _BLOCK,
+    MotionWindow,
+    activation_features,
+    activation_matrix,
+    is_active,
+    slide_windows,
+    train_activation,
+)
+
+FAULTY_SEEDS = [1, 2, 3]
+
+#: (batched function, per-window function, reference, columns)
+LAYERS = [
+    (feature_matrix, window_features, reference_window_features, N_FEATURES),
+    (activation_matrix, activation_features, reference_activation_features, 6),
+    (indicator_matrix, indicator_values, reference_indicator_values, N_INDICATORS),
+]
+LAYER_IDS = ["features", "activation", "indicators"]
+
+
+def _faulty(seed):
+    cfg = GenConfig(seed=seed, strokes_per_class=3, spike_rate=0.002, dropout_rate=0.01)
+    return generate(cfg)
+
+
+@pytest.fixture(scope="module", params=FAULTY_SEEDS)
+def faulty_windows(request):
+    series, _ = _faulty(request.param)
+    return slide_windows(preprocess_series(series))
+
+
+def _degenerate_windows():
+    rng = np.random.default_rng(17)
+    spike = np.zeros((200, 9))
+    spike[77, 4] = 1e3
+    flat_partner = rng.normal(size=(200, 9))
+    flat_partner[:, [1, 4, 7]] = 3.0  # the y axes: partners of acc_x, gyro_x and angle_x
+    return {
+        "zero": np.zeros((200, 9)),
+        "constant": np.tile(np.arange(1.0, 10.0), (200, 1)),
+        "tiny_noise": rng.normal(scale=1e-9, size=(200, 9)),
+        "spike": spike,
+        "constant_partner": flat_partner,
+        "two_rows": rng.normal(size=(2, 9)),
+        "seven_rows": rng.normal(size=(7, 9)),
+    }
+
+
+DEGENERATE = _degenerate_windows()
+
+
+@pytest.mark.parametrize("batched, single, reference, n_cols", LAYERS, ids=LAYER_IDS)
+class TestAgainstReference:
+    def test_faulty_corpus(self, faulty_windows, batched, single, reference, n_cols):
+        want = np.array([reference(w) for w in faulty_windows])
+        got = batched(faulty_windows)
+        assert got.shape == (len(faulty_windows), n_cols)
+        assert np.array_equal(got, want)
+        assert all(np.array_equal(single(w), r) for w, r in zip(faulty_windows, want))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_window(self, name, batched, single, reference, n_cols):
+        window = MotionWindow(0, DEGENERATE[name])
+        assert np.array_equal(single(window), reference(window))
+        assert np.array_equal(batched([window]), reference(window)[None])
+
+    def test_mixed_widths_keep_order(self, batched, single, reference, n_cols):
+        rng = np.random.default_rng(5)
+        windows = [MotionWindow(0, DEGENERATE[name]) for name in sorted(DEGENERATE)]
+        windows += [MotionWindow(0, rng.normal(size=(200, 9)), sample_period=0.02)]
+        windows = windows[::2] + windows[1::2]
+        assert np.array_equal(batched(windows), np.array([reference(w) for w in windows]))
+
+    @pytest.mark.parametrize("m", [1, _BLOCK, _BLOCK + 1])
+    def test_block_edges(self, m, batched, single, reference, n_cols):
+        rng = np.random.default_rng(m)
+        windows = [MotionWindow(0, rng.normal(scale=3.0, size=(200, 9))) for _ in range(m)]
+        assert np.array_equal(batched(windows), np.array([reference(w) for w in windows]))
+
+    def test_no_windows(self, batched, single, reference, n_cols):
+        assert batched([]).shape == (0, n_cols)
+
+
+class TestChannelStatsReference:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_columns(self, name):
+        channels = DEGENERATE[name]
+        for i in range(9):
+            x, pair = channels[:, i], channels[:, (i + 1) % 9]
+            assert np.array_equal(channel_stats(x, pair), reference_channel_stats(x, pair))
+
+    def test_random_lengths(self):
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 8, 9, 127, 128, 129, 200, 1000):
+            x, pair = rng.normal(scale=4.0, size=(2, n))
+            assert np.array_equal(channel_stats(x, pair), reference_channel_stats(x, pair))
+
+
+def test_one_row_window_too_short():
+    with pytest.raises(TooShort):
+        window_features(MotionWindow(0, np.zeros((1, 9))))
+    with pytest.raises(TooShort):
+        channel_stats([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("seed", FAULTY_SEEDS)
+def test_profiles_match_reference(seed):
+    series, truth = _faulty(seed)
+    windows = stroke_windows(series, truth)
+    for label in StrokeLabel:
+        group = [w for w in windows if w.label == label]
+        profile = build_profile(group)
+        got = [(s.center, s.up, s.down, s.lo, s.hi, s.k1) for s in profile.indicators]
+        want = reference_profile_specs(np.array([reference_indicator_values(w) for w in group]))
+        assert got == want
+        assert all(s.k1 == s.k2 for s in profile.indicators)
+
+
+def test_profile_with_collapsed_indicator():
+    rng = np.random.default_rng(29)
+    channels = rng.normal(size=(3, 200, 9))
+    channels[:, :, 6] = 1.5  # the angle_x window mean is the same in every window
+    group = [MotionWindow(0, c, label=StrokeLabel(0)) for c in channels]
+    profile = build_profile(group)
+    got = [(s.center, s.up, s.down, s.lo, s.hi, s.k1) for s in profile.indicators]
+    assert got == reference_profile_specs(np.array([reference_indicator_values(w) for w in group]))
+    assert profile.indicators[12].up > profile.indicators[12].down
+
+
+def test_all_idle_session_classifies_nothing(small_corpus, small_features):
+    """A session whose gate keeps no window flows through features, PCA
+    and both classifiers as empty arrays instead of failing."""
+    stroke_wins, _, _ = small_corpus
+    rng = np.random.default_rng(31)
+    idle = np.zeros((2000, 9))
+    idle[:, 2] = 9.81
+    idle += rng.normal(scale=0.01, size=idle.shape)
+    idle_series = SensorSeries(np.arange(2000) * 0.01, idle)
+    idle_windows = slide_windows(idle_series)
+    gate = train_activation(
+        [(w, True) for w in stroke_wins[::4]] + [(w, False) for w in idle_windows]
+    )
+    kept = [w for w in idle_windows if is_active(w, gate)]
+    assert kept == []
+
+    X, y = small_features
+    pca = fit_pca(X)
+    Z_train = transform(pca, X)
+    dag = train_dagsvm(Z_train, y)
+    net = mlp_train(mlp_init(pca.k, seed=0), list(zip(Z_train, y.tolist())), epochs=2)
+
+    F = feature_matrix(kept)
+    assert F.shape == (0, N_FEATURES)
+    Z = transform(pca, F)
+    assert Z.shape == (0, pca.k)
+    for predicted in (dag_predict_batch(dag, Z), mlp_predict_batch(net, Z)):
+        assert predicted.shape == (0,)
+        assert predicted.dtype.kind == "i"
