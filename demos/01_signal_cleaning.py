@@ -11,7 +11,6 @@ import numpy as np
 
 from strokesense.preprocessing import (
     ChannelSeries,
-    FilterState,
     adaptive_filter,
     diff_stats,
     newton_fill,
@@ -36,8 +35,8 @@ print(f"input: {t.size} samples, 1 spike at i=120, 1 gap at i=200")
 
 # Stage 1: the gap must be filled before difference statistics make sense.
 filled = newton_fill(channel)
-stats = diff_stats(filled)
-print(f"first-difference stats: mean={stats.ex:+.4f}, std={stats.sigma:.4f}")
+ex, sigma = diff_stats(filled)
+print(f"first-difference stats: mean={ex:+.4f}, std={sigma:.4f}")
 
 # Stage 2: the 3-sigma rule on first differences finds the spike.
 flagged = remove_outliers(filled)
@@ -52,7 +51,7 @@ print(f"interpolated replacement at i=120 is within {err:.3f} of the truth")
 
 # Stage 4: adaptive smoothing - strong smoothing for small corrections,
 # backing off when the correction would be large (a real transient).
-smoothed = adaptive_filter(refilled, FilterState(k0=0.6))
+smoothed = adaptive_filter(refilled, k0=0.6)
 resid_before = np.sqrt(np.mean((refilled.values - clean) ** 2))
 resid_after = np.sqrt(np.mean((smoothed.values - clean) ** 2))
 print(f"rms error vs truth: {resid_before:.4f} raw -> {resid_after:.4f} smoothed")

@@ -9,7 +9,6 @@ from .mlp import MlpModel, mlp_forward, mlp_init, mlp_predict, mlp_train
 from .pca import PcaModel, contribution_rates, fit_pca, transform
 from .preprocessing import (
     ChannelSeries,
-    FilterState,
     adaptive_filter,
     diff_stats,
     newton_fill,

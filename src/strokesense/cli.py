@@ -186,6 +186,8 @@ def _cmd_fit_pca(args):
 
 
 def _split(n, test_fraction, seed):
+    if not 0 <= test_fraction < 1:
+        raise ValueError(f"test fraction must lie in [0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_test = int(round(n * test_fraction))

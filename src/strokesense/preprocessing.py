@@ -5,8 +5,8 @@ cubic Newton interpolation of the resulting gaps, and threshold-adaptive
 exponential smoothing.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,35 +50,9 @@ class ChannelSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class DiffStats:
-    """Mean and population std of first differences."""
-
-    ex: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-
-@dataclass
-class FilterState:
-    """Adaptive smoother parameters: default gain and motion threshold."""
-
-    k0: float = DEFAULT_K0
-    delta_a: float = 0.05
-    y_prev: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.k0 <= 1.0:
-            raise ValueError(f"k0 must lie in [0, 1], got {self.k0}")
-        if self.delta_a <= 0:
-            raise ValueError(f"delta_a must be positive, got {self.delta_a}")
-
-
-def diff_stats(channel: ChannelSeries) -> DiffStats:
-    """Mean and std of the first differences of a gap-free channel.
+def diff_stats(channel: ChannelSeries) -> Tuple[float, float]:
+    """(ex, sigma): mean and std of the first differences of a gap-free
+    channel.
 
     Both moments divide by the number of differences (n - 1 samples give
     n - 1 diffs; population convention).
@@ -89,7 +63,7 @@ def diff_stats(channel: ChannelSeries) -> DiffStats:
     diffs = np.diff(channel.values)
     ex = float(diffs.mean())
     sigma = float(np.sqrt(np.mean((diffs - ex) ** 2)))
-    return DiffStats(ex=ex, sigma=sigma)
+    return ex, sigma
 
 
 def remove_outliers(channel: ChannelSeries) -> ChannelSeries:
@@ -99,13 +73,13 @@ def remove_outliers(channel: ChannelSeries) -> ChannelSeries:
     A difference X_i outside the open interval (EX - 3s, EX + 3s) flags
     sample x_{i+1}.  A near-zero spread (constant channel) removes nothing.
     """
-    stats = diff_stats(channel)
+    ex, sigma = diff_stats(channel)
     values = channel.values.copy()
     present = channel.present.copy()
-    if stats.sigma < SIGMA_EPS_SCALE * max(1.0, abs(stats.ex)):
+    if sigma < SIGMA_EPS_SCALE * max(1.0, abs(ex)):
         return ChannelSeries(values, channel.positions.copy(), present)
     diffs = np.diff(values)
-    lo, hi = stats.ex - 3 * stats.sigma, stats.ex + 3 * stats.sigma
+    lo, hi = ex - 3 * sigma, ex + 3 * sigma
     bad = ~((diffs > lo) & (diffs < hi))
     present[1:][bad] = False
     return ChannelSeries(values, channel.positions.copy(), present)
@@ -157,8 +131,11 @@ def newton_fill(channel: ChannelSeries, support: int = 4) -> ChannelSeries:
     return ChannelSeries(values, positions.copy(), np.ones(len(values), dtype=bool))
 
 
-def adaptive_filter(channel: ChannelSeries, state: FilterState) -> ChannelSeries:
-    """Threshold-adaptive exponential smoother.
+def adaptive_filter(
+    channel: ChannelSeries, k0: float = DEFAULT_K0, delta_a: float = 0.05
+) -> ChannelSeries:
+    """Threshold-adaptive exponential smoother with default gain ``k0`` in
+    [0, 1] and motion threshold ``delta_a`` > 0.
 
     Each step forms a provisional output at the default gain k0 to measure
     the step size D; when |D| exceeds the motion threshold the gain becomes
@@ -166,13 +143,16 @@ def adaptive_filter(channel: ChannelSeries, state: FilterState) -> ChannelSeries
     The recurrence runs on plain Python floats, which round exactly as
     float64 array elements do.
     """
+    if not 0.0 <= k0 <= 1.0:
+        raise ValueError(f"k0 must lie in [0, 1], got {k0}")
+    if delta_a <= 0:
+        raise ValueError(f"delta_a must be positive, got {delta_a}")
     _require_gap_free(channel)
     xs = channel.values.tolist()
-    k0, delta_a = state.k0, state.delta_a
     hold = 1.0 - k0
-    ys = xs[:1] if state.y_prev is None else []
-    y_prev = xs[0] if ys else state.y_prev
-    for x in xs[len(ys) :]:
+    ys = xs[:1]
+    y_prev = xs[0] if xs else None
+    for x in xs[1:]:
         step = abs(k0 * x + hold * y_prev - y_prev)
         if step > delta_a:
             m = min(max((1.0 - delta_a / step) * k0, 0.0), k0)
@@ -206,7 +186,7 @@ def preprocess_channel(
     if delta_a is None:
         span = float(cleaned.values.max() - cleaned.values.min())
         delta_a = max(DEFAULT_DELTA_A_FRACTION * span, 1e-12)
-    return adaptive_filter(cleaned, FilterState(k0=k0, delta_a=delta_a))
+    return adaptive_filter(cleaned, k0=k0, delta_a=delta_a)
 
 
 def preprocess_series(
@@ -245,8 +225,6 @@ def preprocess_series(
         values = np.zeros(n_full)
         values[idx] = series.channels[:, ch]
         channel = ChannelSeries(values, grid_t, base_present.copy())
-        if not channel.gap_free:
-            channel = newton_fill(channel)
         cleaned = preprocess_channel(
             channel, k0=k0, delta_a=delta_a, outlier=outlier, smooth=smooth
         )

@@ -9,7 +9,7 @@ for band-limited ones.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -67,17 +67,6 @@ def _check_reciprocal(a: np.ndarray) -> float:
     return c
 
 
-@dataclass(frozen=True)
-class AhpMatrix:
-    """Validated positive reciprocal pairwise comparison matrix."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        _check_reciprocal(self.a)
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-
-
 def _principal_eigenvalue(a: np.ndarray, residual: float = 1e-10) -> float:
     """Power iteration for the dominant eigenvalue of a positive matrix."""
     v = np.full(a.shape[0], 1.0 / a.shape[0])
@@ -94,7 +83,7 @@ def _principal_eigenvalue(a: np.ndarray, residual: float = 1e-10) -> float:
 
 def consistency(a) -> tuple:
     """(lambda_max, CI, CR) of a comparison matrix."""
-    a = np.asarray(getattr(a, "a", a), dtype=float)
+    a = np.asarray(a, dtype=float)
     scale = _check_reciprocal(a)
     n = a.shape[0]
     lam = _principal_eigenvalue(a / scale)
@@ -111,7 +100,7 @@ def ahp_weights(a) -> np.ndarray:
     Warns when the consistency ratio exceeds 0.1.  Invariant under uniform
     positive scaling of the matrix.
     """
-    a = np.asarray(getattr(a, "a", a), dtype=float)
+    a = np.asarray(a, dtype=float)
     _check_reciprocal(a)
     weights = (a / a.sum(axis=0)).mean(axis=1)
     weights = weights / weights.sum()
@@ -125,18 +114,12 @@ def ahp_weights(a) -> np.ndarray:
 
 def _velocity(acc: np.ndarray, acc_mean: np.ndarray, sample_period: float) -> np.ndarray:
     """Trapezoidal velocity of (..., width, 3) acceleration along the
-    sample axis, after removing its window mean (..., 1, 3); v(0) = 0."""
-    return cumulative_trapezoid(acc - acc_mean, dx=sample_period, axis=-2, initial=0.0)
-
-
-def derive_velocity(window: MotionWindow) -> np.ndarray:
-    """Per-axis velocity (width, 3): trapezoidal integration of mean-
-    removed acceleration, v(0) = 0.
+    sample axis, after removing its window mean (..., 1, 3); v(0) = 0.
 
     Subtracting the window-mean acceleration strips gravity and sensor
     bias and bounds integration drift over a single stroke window.
     """
-    return _velocity(window.acc, window.acc.mean(axis=0), window.sample_period)
+    return cumulative_trapezoid(acc - acc_mean, dx=sample_period, axis=-2, initial=0.0)
 
 
 def _direction_angles(vecs: np.ndarray) -> np.ndarray:

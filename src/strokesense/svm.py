@@ -1,7 +1,10 @@
-"""Soft-margin SVMs trained by sequential minimal optimization.
+"""Soft-margin SVMs and the six-class DAGSVM.
 
-Provides the shared SMO solver, Gaussian-kernel pairwise models and the
-six-class directed-acyclic-graph multi-class scheme (one pairwise model per
+One solver serves every SVM here: SMO with the second-order working-set
+selection of Fan, Chen & Lin, "Working Set Selection Using Second Order
+Information for Training Support Vector Machines" (JMLR 6, 2005), as in
+LIBSVM.  On top of it sit Gaussian-kernel pairwise models and the
+directed-acyclic-graph multi-class scheme (one pairwise model per
 unordered class pair; a prediction eliminates one candidate per node, so
 six classes take exactly five evaluations).
 """
@@ -17,6 +20,7 @@ from .labels import StrokeLabel
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 10_000
 ALPHA_EPS = 1e-8
+TAU = 1e-12  # curvature floor for a non-positive-definite pair
 
 
 def gaussian_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -37,90 +41,53 @@ def smo_solve(
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
 ) -> Tuple[np.ndarray, float]:
-    """Platt-style SMO on a precomputed kernel matrix.
+    """SMO with second-order working-set selection (WSS2) on a precomputed
+    kernel matrix.
 
-    Returns (alphas, b) for the dual soft-margin problem with labels in
-    {+1, -1}.  Deterministic: the second multiplier is chosen by the
-    max-|E_i - E_j| heuristic with an ordered fallback scan.
+    Solves min 1/2 a'Qa - e'a subject to y'a = 0 and 0 <= a <= c, with
+    Q_ij = y_i y_j K_ij and labels in {+1, -1}, keeping the gradient
+    G = Qa - e.  Each update picks i = argmax of -y_t G_t over the
+    multipliers free to move up, and j among those free to move down by
+    the largest second-order decrease of the objective; it stops when
+    that maximal violation m(a) - M(a) falls below ``tol``.  The pair
+    moves analytically along y_i a_i += t, y_j a_j -= t, and a multiplier
+    whose room sets t lands exactly on its bound.  Returns (alphas, b),
+    b = -rho: the mean of -y_t G_t over free multipliers, or the midpoint
+    of m and M when none is free.  Deterministic (ties go to the lower
+    index).  Raises NoConvergence after ``max_passes * n`` pair updates,
+    and ValueError unless both labels occur.
     """
     n = len(y)
     alphas = np.zeros(n)
-    b = 0.0
-    errors = -y.astype(float)  # f(x) = 0 initially
-
-    def take_step(i: int, j: int) -> bool:
-        nonlocal b
-        if i == j:
-            return False
-        a_i, a_j = alphas[i], alphas[j]
-        y_i, y_j = y[i], y[j]
-        e_i, e_j = errors[i], errors[j]
-        if y_i != y_j:
-            low, high = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
-        else:
-            low, high = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-        if high - low < 1e-12:
-            return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta <= 1e-12:
-            return False
-        a_j_new = a_j + y_j * (e_i - e_j) / eta
-        a_j_new = min(max(a_j_new, low), high)
-        if abs(a_j_new - a_j) < 1e-8 * (a_j_new + a_j + 1e-8):
-            return False
-        a_i_new = a_i + y_i * y_j * (a_j - a_j_new)
-        b1 = b - e_i - y_i * (a_i_new - a_i) * K[i, i] - y_j * (a_j_new - a_j) * K[i, j]
-        b2 = b - e_j - y_i * (a_i_new - a_i) * K[i, j] - y_j * (a_j_new - a_j) * K[j, j]
-        if 0 < a_i_new < c:
-            b_new = b1
-        elif 0 < a_j_new < c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        alphas[i], alphas[j] = a_i_new, a_j_new
-        errors[:] += (
-            y_i * (a_i_new - a_i) * K[i]
-            + y_j * (a_j_new - a_j) * K[j]
-            + (b_new - b)
-        )
-        b = b_new
-        return True
-
-    def examine(j: int) -> bool:
-        e_j = errors[j]
-        r_j = e_j * y[j]
-        if (r_j < -tol and alphas[j] < c) or (r_j > tol and alphas[j] > 0):
-            non_bound = np.nonzero((alphas > 0) & (alphas < c))[0]
-            if len(non_bound) > 1:
-                i = int(non_bound[np.argmax(np.abs(errors[non_bound] - e_j))])
-                if take_step(i, j):
-                    return True
-            for i in non_bound:
-                if take_step(int(i), j):
-                    return True
-            for i in range(n):
-                if take_step(i, j):
-                    return True
-        return False
-
-    passes = 0
-    examine_all = True
-    while passes < max_passes:
-        changed = 0
-        if examine_all:
-            for j in range(n):
-                changed += examine(j)
-        else:
-            for j in np.nonzero((alphas > 0) & (alphas < c))[0]:
-                changed += examine(int(j))
-        passes += 1
-        if examine_all:
-            if changed == 0:
-                return alphas, b
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-    raise NoConvergence(f"SMO hit the {max_passes}-pass cap")
+    grad = -np.ones(n)
+    diag = np.diag(K)
+    pos = y > 0
+    if pos.all() or not pos.any():
+        raise ValueError("smo_solve needs both +1 and -1 labels")
+    updates = 0
+    while True:
+        score = -y * grad
+        up = np.where(pos, alphas < c, alphas > 0)
+        low = np.where(pos, alphas > 0, alphas < c)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        gap = np.where(low, score[i] - score, -np.inf)
+        if gap.max() < tol:
+            free = up & low
+            b = score[free].mean() if free.any() else score[i] - 0.5 * gap.max()
+            return alphas, float(b)
+        if updates == max_passes * n:
+            raise NoConvergence(f"SMO hit the cap of {updates} pair updates")
+        updates += 1
+        curv = diag[i] + diag - 2.0 * K[i]
+        curv[curv <= 0] = TAU
+        j = int(np.argmax(np.where(gap > 0, gap * gap / curv, -np.inf)))
+        room_i = c - alphas[i] if pos[i] else alphas[i]
+        room_j = alphas[j] if pos[j] else c - alphas[j]
+        t = min(gap[j] / curv[j], room_i, room_j)
+        old_i, old_j = alphas[i], alphas[j]
+        alphas[i] = (c if pos[i] else 0.0) if t == room_i else old_i + y[i] * t
+        alphas[j] = (0.0 if pos[j] else c) if t == room_j else old_j - y[j] * t
+        grad += y * (K[i] * (y[i] * (alphas[i] - old_i)) + K[j] * (y[j] * (alphas[j] - old_j)))
 
 
 def default_gamma(X: np.ndarray) -> float:
@@ -177,11 +144,10 @@ def train_pairwise_svm(
     c: float = 1.0,
     gamma: Optional[float] = None,
     class_pair: Tuple[int, int] = (0, 1),
-    tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
 ) -> KernelSvmModel:
     """Train one Gaussian-kernel SVM separating class_pair[0] (+1) from
-    class_pair[1] (-1)."""
+    class_pair[1] (-1).  ``c`` and ``gamma`` must be positive and finite
+    (ValueError otherwise)."""
     Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
     Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
     if Xa.shape[0] == 0 or Xb.shape[0] == 0:
@@ -190,8 +156,12 @@ def train_pairwise_svm(
     y = np.concatenate([np.ones(len(Xa)), -np.ones(len(Xb))])
     if gamma is None:
         gamma = default_gamma(X)
+    if not 0 < c < np.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     K = gaussian_kernel_matrix(X, X, gamma)
-    alphas, b = smo_solve(K, y, c, tol=tol, max_passes=max_passes)
+    alphas, b = smo_solve(K, y, c)
     keep = alphas > ALPHA_EPS
     return KernelSvmModel(
         support_vectors=X[keep],
@@ -238,10 +208,9 @@ def train_dagsvm(
     c: float = 1.0,
     gamma: Optional[float] = None,
     classes: Optional[Sequence[int]] = None,
-    tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
 ) -> DagSvmModel:
-    """Train one pairwise model per unordered class pair."""
+    """Train one pairwise model per unordered class pair, all sharing one
+    ``gamma``; ``c`` and ``gamma`` as in :func:`train_pairwise_svm`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if classes is None:
@@ -257,8 +226,6 @@ def train_dagsvm(
                 c=c,
                 gamma=gamma,
                 class_pair=(a, b_cls),
-                tol=tol,
-                max_passes=max_passes,
             )
     return DagSvmModel(models=models, class_order=list(classes))
 
@@ -290,13 +257,3 @@ def dag_predict_batch(dag: DagSvmModel, X: np.ndarray) -> np.ndarray:
     its own."""
     return np.array([int(dag_predict(dag, x)) for x in np.atleast_2d(X)], dtype=int)
 
-
-def pairwise_vote(dag: DagSvmModel, x: np.ndarray) -> StrokeLabel:
-    """Majority vote over all pairwise models (tie -> lowest code)."""
-    votes = {c: 0 for c in dag.class_order}
-    for model in dag.models.values():
-        value = float(model.decision(x)[0])
-        winner = model.class_pair[0] if value > 0 else model.class_pair[1]
-        votes[winner] += 1
-    best = max(votes.values())
-    return StrokeLabel(min(c for c, v in votes.items() if v == best))

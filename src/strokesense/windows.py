@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SingleClass, TooShort
 from .io import SensorSeries
 from .labels import StrokeLabel
-from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, smo_solve
+from .svm import smo_solve
 
 DEFAULT_WIDTH = 200
 DEFAULT_OVERLAP = 0.5
@@ -166,8 +166,6 @@ class LinearSvmModel:
 def train_activation(
     labeled: Sequence[Tuple[MotionWindow, bool]],
     c: float = 1.0,
-    tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
 ) -> LinearSvmModel:
     """Fit the linear activation SVM from (window, active?) pairs.
 
@@ -183,7 +181,7 @@ def train_activation(
     sd[sd < 1e-12] = 1.0
     Z = (X - mu) / sd
     K = Z @ Z.T
-    alphas, b = smo_solve(K, y, c, tol=tol, max_passes=max_passes)
+    alphas, b = smo_solve(K, y, c)
     wz = (alphas * y) @ Z
     # fold the standardization back into raw-feature space
     w = wz / sd

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import minimize
 
 from strokesense.errors import EmptyInput, MalformedRow, NonMonotonicTime
 
@@ -335,3 +336,21 @@ def reference_profile_specs(values):
         k = max(float(col.std()), eps)
         specs.append((center, up, down, lo, hi, k))
     return specs
+
+
+def reference_svm_dual(K, y, c):
+    """The soft-margin SVM dual solved by a general-purpose optimizer:
+    minimize 1/2 a'Qa - e'a, Q_ij = y_i y_j K_ij, over 0 <= a <= c with
+    a'y = 0, by scipy's SLSQP.  Returns (alphas, objective)."""
+    y = np.asarray(y, dtype=float)
+    Q = np.outer(y, y) * K
+    result = minimize(
+        lambda a: 0.5 * a @ Q @ a - a.sum(),
+        np.zeros(len(y)),
+        jac=lambda a: Q @ a - 1.0,
+        method="SLSQP",
+        bounds=[(0.0, c)] * len(y),
+        constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+        options={"ftol": 1e-12, "maxiter": 1000},
+    )
+    return result.x, float(result.fun)

@@ -148,6 +148,33 @@ class TestTrainPredictReport:
         capsys.readouterr()
         assert json.loads(model.read_text())["type"] == "mlp"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--test-fraction", -0.2),
+            ("--test-fraction", 1.0),
+            ("--test-fraction", "nan"),
+            ("--svm-c", 0),
+            ("--svm-c", -1),
+            ("--gamma", -1),
+            ("--gamma", 0),
+            ("--gamma", "inf"),
+        ],
+    )
+    def test_out_of_range_training_input_rejected(self, pipeline, tmp_path, capsys, flags):
+        model = tmp_path / "model.json"
+        code = run(
+            "train",
+            "--in", pipeline / "features.csv",
+            "--pca", pipeline / "pca.json",
+            "--out", model,
+            "--model", "dagsvm",
+            *flags,
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_gate_keeping_no_window(self, pipeline, tmp_path, capsys):
         """segment -> extract -> predict on a session the gate rejects
         whole: empty artifacts, exit 0."""

@@ -13,7 +13,6 @@ from strokesense.errors import InsufficientSupport, NonMonotonicTime, TooShort
 from strokesense.io import SensorSeries
 from strokesense.preprocessing import (
     ChannelSeries,
-    FilterState,
     adaptive_filter,
     diff_stats,
     newton_fill,
@@ -25,20 +24,20 @@ from strokesense.preprocessing import (
 
 class TestDiffStats:
     def test_constant(self):
-        stats = diff_stats(ChannelSeries.from_values([5, 5, 5, 5]))
-        assert stats.ex == 0 and stats.sigma == 0
+        ex, sigma = diff_stats(ChannelSeries.from_values([5, 5, 5, 5]))
+        assert ex == 0 and sigma == 0
 
     def test_linear_ramp(self):
-        stats = diff_stats(ChannelSeries.from_values([0, 1, 2, 3]))
-        assert stats.ex == pytest.approx(1) and stats.sigma == pytest.approx(0)
+        ex, sigma = diff_stats(ChannelSeries.from_values([0, 1, 2, 3]))
+        assert ex == pytest.approx(1) and sigma == pytest.approx(0)
 
     def test_against_two_pass_oracle(self):
         values = [0, 2, 1, 4]
-        stats = diff_stats(ChannelSeries.from_values(values))
-        ex, sigma = brute_diff_stats(values)
-        assert stats.ex == pytest.approx(4 / 3)
-        assert stats.ex == pytest.approx(ex)
-        assert stats.sigma == pytest.approx(sigma)
+        ex, sigma = diff_stats(ChannelSeries.from_values(values))
+        want_ex, want_sigma = brute_diff_stats(values)
+        assert ex == pytest.approx(4 / 3)
+        assert ex == pytest.approx(want_ex)
+        assert sigma == pytest.approx(want_sigma)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -145,28 +144,28 @@ class TestAdaptiveFilter:
     def test_full_gain_limit_passes_input_through(self):
         rng = np.random.default_rng(0)
         values = np.cumsum(rng.normal(0, 1.0, size=100))
-        out = adaptive_filter(
-            ChannelSeries.from_values(values), FilterState(k0=1.0, delta_a=1e-15)
-        )
+        out = adaptive_filter(ChannelSeries.from_values(values), k0=1.0, delta_a=1e-15)
         np.testing.assert_allclose(out.values, values, atol=1e-9)
 
     def test_small_steps_hold_output(self):
         values = np.array([1.0, 1.001, 1.002, 1.001])
-        out = adaptive_filter(
-            ChannelSeries.from_values(values), FilterState(k0=0.5, delta_a=0.5)
-        )
+        out = adaptive_filter(ChannelSeries.from_values(values), k0=0.5, delta_a=0.5)
         np.testing.assert_allclose(out.values, 1.0)
 
     def test_step_response_matches_reference_loop(self):
         values = np.concatenate([np.zeros(5), np.ones(50)])
-        state = FilterState(k0=0.5, delta_a=0.01)
-        out = adaptive_filter(ChannelSeries.from_values(values), state)
+        out = adaptive_filter(ChannelSeries.from_values(values), k0=0.5, delta_a=0.01)
         np.testing.assert_allclose(
             out.values, reference_adaptive_filter(values, 0.5, 0.01), atol=1e-12
         )
         rise = out.values[5:]
         assert (np.diff(rise) >= -1e-12).all()
         assert rise[-1] < 1.0
+
+    @pytest.mark.parametrize("k0, delta_a", [(-0.1, 0.05), (1.5, 0.05), (0.3, 0.0), (0.3, -1.0)])
+    def test_out_of_range_parameters_rejected(self, k0, delta_a):
+        with pytest.raises(ValueError):
+            adaptive_filter(ChannelSeries.from_values([1.0, 2.0]), k0=k0, delta_a=delta_a)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -176,9 +175,8 @@ class TestAdaptiveFilter:
     def test_shift_equivariance(self, seed, c):
         rng = np.random.default_rng(seed)
         values = rng.normal(0, 2.0, size=60)
-        state = FilterState(k0=0.3, delta_a=0.1)
-        base = adaptive_filter(ChannelSeries.from_values(values), state)
-        shifted = adaptive_filter(ChannelSeries.from_values(values + c), state)
+        base = adaptive_filter(ChannelSeries.from_values(values), k0=0.3, delta_a=0.1)
+        shifted = adaptive_filter(ChannelSeries.from_values(values + c), k0=0.3, delta_a=0.1)
         np.testing.assert_allclose(shifted.values, base.values + c, atol=1e-8)
 
 

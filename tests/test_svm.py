@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import reference_svm_dual
 from strokesense.errors import EmptyClass, NoConvergence
-from strokesense.labels import StrokeLabel
+from strokesense.labels import IDLE, StrokeLabel
+from strokesense.preprocessing import preprocess_series
 from strokesense.svm import (
     DagSvmModel,
     KernelSvmModel,
@@ -10,11 +12,12 @@ from strokesense.svm import (
     dag_predict_batch,
     default_gamma,
     gaussian_kernel_matrix,
-    pairwise_vote,
     smo_solve,
     train_dagsvm,
     train_pairwise_svm,
 )
+from strokesense.synth import GenConfig, generate
+from strokesense.windows import is_active, slide_windows, train_activation
 
 
 class TestKernel:
@@ -59,6 +62,11 @@ class TestSmo:
         np.testing.assert_array_equal(a1, a2)
         assert b1 == b2
 
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_single_label_rejected(self, label):
+        with pytest.raises(ValueError):
+            smo_solve(np.eye(4), np.full(4, label), c=1.0)
+
     def test_no_convergence_raises(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 2))
@@ -66,6 +74,60 @@ class TestSmo:
         K = gaussian_kernel_matrix(X, X, 100.0)
         with pytest.raises(NoConvergence):
             smo_solve(K, y, c=1e6, tol=1e-12, max_passes=3)
+
+
+def _dual_problem(seed, kernel):
+    """A seeded two-class problem of 10-40 points with about 15% of the
+    labels flipped, so that the classes overlap."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(10, 41)), int(rng.integers(2, 6))
+    X = rng.normal(size=(n, d))
+    y = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    X[y > 0] += rng.uniform(0.0, 2.0)
+    y[rng.random(n) < 0.15] *= -1
+    y[0], y[-1] = 1.0, -1.0
+    K = gaussian_kernel_matrix(X, X, 0.5) if kernel == "gaussian" else X @ X.T
+    return K, y
+
+
+class TestSmoAgainstReference:
+    """WSS2 SMO against a general-purpose optimizer of the same dual."""
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("kernel", ["gaussian", "linear"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reaches_reference_optimum(self, seed, kernel, c):
+        K, y = _dual_problem(seed, kernel)
+        alphas, _ = smo_solve(K, y, c)
+        Q = np.outer(y, y) * K
+        objective = 0.5 * alphas @ Q @ alphas - alphas.sum()
+        _, reference = reference_svm_dual(K, y, c)
+        assert objective - reference <= 1e-5 * abs(reference)
+        assert (alphas >= 0).all() and (alphas <= c).all()
+        assert abs(alphas @ y) < 1e-9
+
+    def test_gate_on_majority_labels_converges(self):
+        """The linear gate fitted on majority-labelled windows of a faulty
+        recorded corpus, where short idle gaps make the classes overlap."""
+        series, truth = generate(
+            GenConfig(seed=1489773624, strokes_per_class=20, spike_rate=0.002, dropout_rate=0.01)
+        )
+        windows = slide_windows(preprocess_series(series))
+        p, t0 = series.sample_period, series.t[0]
+        spans = [
+            (round((series.t[s] - t0) / p), round((series.t[e - 1] - t0) / p) + 1)
+            for s, e, lab in truth
+            if e > s and lab != IDLE
+        ]
+        labeled = []
+        for w in windows:
+            end = w.start_index + w.width
+            cover = max(min(e, end) - max(s, w.start_index) for s, e in spans)
+            labeled.append((w, 2 * cover >= w.width))
+        model = train_activation(labeled)
+        assert np.isfinite(model.w).all() and np.isfinite(model.b)
+        accuracy = np.mean([is_active(w, model) == active for w, active in labeled])
+        assert accuracy > np.mean([active for _, active in labeled])
 
 
 class TestPairwise:
@@ -80,6 +142,17 @@ class TestPairwise:
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
             train_pairwise_svm(np.zeros((0, 3)), np.ones((4, 3)))
+
+    @pytest.mark.parametrize(
+        "c, gamma",
+        [(0.0, None), (-1.0, None), (np.inf, None), (1.0, -1.0), (1.0, 0.0), (1.0, np.nan), (1.0, np.inf)],
+    )
+    def test_out_of_range_hyperparameters_rejected(self, small_features, c, gamma):
+        X, y = small_features
+        with pytest.raises(ValueError):
+            train_pairwise_svm(X[y == 0], X[y == 1], c=c, gamma=gamma)
+        with pytest.raises(ValueError):
+            train_dagsvm(X, y, c=c, gamma=gamma)
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -116,7 +189,6 @@ class TestDag:
             label, trace = dag_predict(dag, x, trace=True)
             assert label == StrokeLabel(favored)
             assert len(trace) == 5
-            assert pairwise_vote(dag, x) == StrokeLabel(favored)
 
     def test_five_evaluations_always(self, small_features):
         X, y = small_features
@@ -131,14 +203,6 @@ class TestDag:
         dag = train_dagsvm(X, y)
         preds = dag_predict_batch(dag, X)
         assert (preds == y).mean() >= 0.95
-
-    def test_dag_agrees_with_pairwise_vote(self, small_features):
-        X, y = small_features
-        dag = train_dagsvm(X, y)
-        agree = sum(
-            dag_predict(dag, x) == pairwise_vote(dag, x) for x in X
-        )
-        assert agree / len(X) >= 0.9
 
     def test_round_trip(self, small_features):
         X, y = small_features
