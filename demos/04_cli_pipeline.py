@@ -2,8 +2,8 @@
 
 Every stage of the pipeline is also a `strokesense` subcommand; this demo
 runs the whole chain (synthesize -> segment -> featurize -> reduce ->
-train -> predict -> report) exactly as a shell script would, into a
-temporary directory.
+train -> predict -> report -> build a scoring profile -> score) exactly as
+a shell script would, into a temporary directory.
 
 Run: python demos/04_cli_pipeline.py
 """
@@ -30,6 +30,10 @@ steps = [
      "--model", str(root / "model.json"), "--out", str(root / "predictions.csv")],
     ["report", "--predictions", str(root / "predictions.csv"),
      "--out", str(root / "report.json"), "--heatmap", str(root / "heatmap.csv")],
+    ["evaluate", "--in", str(root / "data.csv"), "--windows", str(root / "windows.csv"),
+     "--stroke", "FOREHAND_ATTACK", "--build-profile", str(root / "profile.json")],
+    ["evaluate", "--in", str(root / "data.csv"), "--windows", str(root / "windows.csv"),
+     "--profile", str(root / "profile.json"), "--out", str(root / "scores.csv")],
 ]
 
 for step in steps:
@@ -41,4 +45,6 @@ for step in steps:
 report = json.loads((root / "report.json").read_text())
 print(f"final accuracy {report['accuracy']:.3f}, "
       f"macro F {report['macro']['f_measure']:.3f}")
+totals = [float(row.split(",")[-1]) for row in (root / "scores.csv").read_text().split()[1:]]
+print(f"mean skill score Q {sum(totals) / len(totals):.3f} over {len(totals)} windows")
 print(f"artifacts left in {root}")

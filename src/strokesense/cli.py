@@ -18,10 +18,10 @@ from .errors import StrokeSenseError
 from .features import FEATURE_NAMES, window_features
 from .io import parse_series, serialize_series
 from .labels import IDLE, LABEL_NAMES, StrokeLabel
-from .metrics import classification_report, confusion, heatmap_csv
-from .mlp import MlpModel, mlp_init, mlp_predict_batch, mlp_train
-from .pca import PcaModel, fit_pca, transform
-from .preprocessing import preprocess_series
+from .metrics import DEFAULT_ALPHA, classification_report, confusion, heatmap_csv
+from .mlp import DEFAULT_EPOCHS, DEFAULT_LR, MlpModel, mlp_init, mlp_predict_batch, mlp_train
+from .pca import DEFAULT_RETENTION, PcaModel, fit_pca, transform
+from .preprocessing import DEFAULT_K0, preprocess_series
 from .scoring import (
     REFERENCE_AHP_MATRIX,
     StandardProfile,
@@ -274,7 +274,7 @@ def _cmd_evaluate(args):
     lines = ["stroke,Q1,Q2,Q3,Q4,Q5,Q"]
     reports = []
     for w in windows:
-        rep = score_window(w, profile, weights=weights, literal_interval=args.literal_interval)
+        rep = score_window(w, profile, weights=weights)
         reports.append(rep.to_dict())
         qs = ",".join(repr(float(q)) for q in rep.q)
         lines.append(f"{rep.stroke.name},{qs},{rep.total!r}")
@@ -351,21 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    gen = GenConfig()
     p = sub.add_parser("synth", help="generate a labeled synthetic stream")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strokes-per-class", type=int, default=100)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
-    p.add_argument("--spike-rate", type=float, default=0.0)
-    p.add_argument("--dropout-rate", type=float, default=0.0)
-    p.add_argument("--idle-fraction", type=float, default=0.3)
-    p.add_argument("--period", type=float, default=2.0)
+    p.add_argument("--seed", type=int, default=gen.seed)
+    p.add_argument("--strokes-per-class", type=int, default=gen.strokes_per_class)
+    p.add_argument("--noise-sigma", type=float, default=gen.noise_sigma)
+    p.add_argument("--spike-rate", type=float, default=gen.spike_rate)
+    p.add_argument("--dropout-rate", type=float, default=gen.dropout_rate)
+    p.add_argument("--idle-fraction", type=float, default=gen.idle_fraction)
+    p.add_argument("--period", type=float, default=gen.period)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("preprocess", help="clean all nine channels")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k0", type=float, default=0.3)
+    p.add_argument("--k0", type=float, default=DEFAULT_K0)
     p.add_argument("--delta-a", type=float, default=None)
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--no-outlier", action="store_true")
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-pca", help="fit the linear reduction")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--retention", type=float, default=0.95)
+    p.add_argument("--retention", type=float, default=DEFAULT_RETENTION)
     p.add_argument("--no-standardize", action="store_true")
     p.set_defaults(func=_cmd_fit_pca)
 
@@ -400,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["dagsvm", "mlp"], default="dagsvm")
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--lr", type=float, default=DEFAULT_LR)
+    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--svm-c", type=float, default=1.0)
     p.set_defaults(func=_cmd_train)
@@ -421,13 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stroke", help="restrict to one stroke class (e.g. FOREHAND_ATTACK)")
     p.add_argument("--out", default="scores.csv")
     p.add_argument("--json-out", help="also write score reports as JSON")
-    p.add_argument("--literal-interval", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="confusion matrix and P/R/F report")
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.7)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--heatmap", help="write the matrix as CSV")
     p.add_argument("--svg", help="write a simple SVG heat map")
     p.set_defaults(func=_cmd_report)

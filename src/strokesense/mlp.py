@@ -137,10 +137,15 @@ def mlp_train(
 
     Returns a trained copy; per-epoch mean losses land in
     ``model.loss_history``.  Stops early once the mean epoch loss improves
-    by less than ``early_stop_tol``.
+    by less than ``early_stop_tol``.  ``lr`` must be positive and finite and
+    ``epochs`` at least 1 (ValueError otherwise).
     """
     if not data:
         raise ValueError("empty training set")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     X = np.array([np.asarray(x, dtype=float) for x, _ in data])
     y = np.array([int(label) for _, label in data])
     if ((y < 0) | (y >= model.sizes[-1])).any():

@@ -2,15 +2,18 @@
 
 Five evaluation levels (strength, force direction, velocity, velocity
 direction, posture), three per-axis indicators each.  Level weights come
-from a pairwise comparison matrix; per-indicator scores use a logistic map
-for monotone ("maximal") indicators and an exponential-decay interval map
-for band-limited ones.
+from a pairwise comparison matrix.  Each indicator's loss function is
+fixed by its level (``INDICATOR_KINDS``), not by the profile: maximal
+indicators (strength, velocity) score ``1 - 1 / (1 + exp((x - center) /
+(up - down)))``; interval ones (both directions, posture) score 1 inside
+``[lo, hi]`` and ``exp(-d/k1)`` below or ``exp(-d/k2)`` above it, d being
+the distance to the band.
 """
 
 import json
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -29,6 +32,10 @@ N_LEVELS = 5
 N_INDICATORS = 15
 LEVEL_NAMES = ["strength", "force_direction", "velocity", "velocity_direction", "posture"]
 LEVEL_KINDS = ["maximal", "interval", "maximal", "interval", "interval"]
+#: Each indicator's kind: its level's, once per axis.
+INDICATOR_KINDS = tuple(kind for kind in LEVEL_KINDS for _ in range(3))
+_MAXIMAL = np.array([kind == "maximal" for kind in INDICATOR_KINDS])
+_STATS = ("center", "up", "down", "lo", "hi", "k1", "k2")
 
 #: Saaty random consistency index by matrix order.
 RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32, 8: 1.41}
@@ -67,26 +74,13 @@ def _check_reciprocal(a: np.ndarray) -> float:
     return c
 
 
-def _principal_eigenvalue(a: np.ndarray, residual: float = 1e-10) -> float:
-    """Power iteration for the dominant eigenvalue of a positive matrix."""
-    v = np.full(a.shape[0], 1.0 / a.shape[0])
-    lam = 0.0
-    for _ in range(10_000):
-        av = a @ v
-        lam = float(av @ v / (v @ v))
-        v_new = av / np.linalg.norm(av)
-        if np.linalg.norm(a @ v_new - lam * v_new) < residual * max(1.0, abs(lam)):
-            return float((a @ v_new) @ v_new / (v_new @ v_new))
-        v = v_new
-    return lam
-
-
 def consistency(a) -> tuple:
     """(lambda_max, CI, CR) of a comparison matrix."""
     a = np.asarray(a, dtype=float)
     scale = _check_reciprocal(a)
     n = a.shape[0]
-    lam = _principal_eigenvalue(a / scale)
+    # a positive matrix's principal (Perron) eigenvalue is real and largest
+    lam = float(np.linalg.eigvals(a / scale).real.max())
     ci = (lam - n) / (n - 1) if n > 1 else 0.0
     ri = RANDOM_INDEX.get(n, RANDOM_INDEX[max(RANDOM_INDEX)])
     cr = ci / ri if ri > 0 else 0.0
@@ -162,59 +156,44 @@ def indicator_values(window: MotionWindow) -> np.ndarray:
 
 # --- reference profiles ---------------------------------------------------
 
-@dataclass
-class IndicatorSpec:
-    """Reference statistics and loss coefficients of one indicator."""
-
-    kind: str  # "maximal" | "interval"
-    center: float
-    up: float
-    down: float
-    lo: float
-    hi: float
-    k1: float
-    k2: float
-
-    def __post_init__(self):
-        if self.kind not in ("maximal", "interval"):
-            raise ValueError(f"unknown indicator kind {self.kind!r}")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("loss coefficients must be positive")
-        if self.lo > self.hi:
-            raise ValueError("interval bounds out of order")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": self.center,
-            "up": self.up,
-            "down": self.down,
-            "lo": self.lo,
-            "hi": self.hi,
-            "k1": self.k1,
-            "k2": self.k2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IndicatorSpec":
-        return cls(**d)
-
-
-@dataclass
+@dataclass(eq=False)
 class StandardProfile:
-    """Per-stroke reference statistics for all 15 indicators."""
+    """Per-stroke reference statistics, one (15,) array each, indexed like
+    the indicator values.  Checked on construction: every statistic is
+    finite, k1, k2 > 0, lo <= hi, and up > down on the maximal indicators."""
 
     stroke: StrokeLabel
-    indicators: List[IndicatorSpec]
+    center: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
 
     def __post_init__(self):
-        if len(self.indicators) != N_INDICATORS:
-            raise ValueError(f"need exactly {N_INDICATORS} indicator specs")
+        for name in _STATS:
+            stat = np.asarray(getattr(self, name), dtype=float)
+            if stat.shape != (N_INDICATORS,):
+                raise ValueError(f"{name} needs shape ({N_INDICATORS},), got {stat.shape}")
+            if not np.isfinite(stat).all():
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, stat)
+        if not ((self.k1 > 0) & (self.k2 > 0)).all():
+            raise ValueError("loss coefficients must be positive")
+        if (self.lo > self.hi).any():
+            raise ValueError("interval bounds out of order")
+        if (self.up <= self.down)[_MAXIMAL].any():
+            raise DegenerateRange("up - down collapsed to zero")
 
     def to_dict(self) -> dict:
+        rows = np.stack([getattr(self, name) for name in _STATS], axis=1).tolist()
         return {
             "stroke": self.stroke.name,
-            "indicators": [s.to_dict() for s in self.indicators],
+            "indicators": [
+                {"kind": kind, **dict(zip(_STATS, row))}
+                for kind, row in zip(INDICATOR_KINDS, rows)
+            ],
         }
 
     def to_json(self) -> str:
@@ -222,9 +201,13 @@ class StandardProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StandardProfile":
+        specs = d["indicators"]
+        for i, (spec, kind) in enumerate(zip(specs, INDICATOR_KINDS)):
+            if spec["kind"] != kind:
+                raise ValueError(f"indicator {i} is {kind!r}, not {spec['kind']!r}")
         return cls(
-            stroke=StrokeLabel.from_name(d["stroke"]),
-            indicators=[IndicatorSpec.from_dict(s) for s in d["indicators"]],
+            StrokeLabel.from_name(d["stroke"]),
+            *([spec[name] for spec in specs] for name in _STATS),
         )
 
     @classmethod
@@ -258,63 +241,36 @@ def build_profile(reference_windows: Sequence[MotionWindow]) -> StandardProfile:
     down = np.where(collapsed, center - eps, down)
     lo, hi = np.percentile(V, [5, 95], axis=1)
     k = np.maximum(V.std(axis=1), eps)
-    table = np.stack([center, up, down, lo, hi, k], axis=1).tolist()
-    specs = [IndicatorSpec(LEVEL_KINDS[i // 3], *row, row[-1]) for i, row in enumerate(table)]
-    return StandardProfile(stroke=stroke, indicators=specs)
+    return StandardProfile(stroke, center, up, down, lo, hi, k, k)
 
 
 # --- indicator and level scores -------------------------------------------
 
-def score_maximal(value: float, spec: IndicatorSpec) -> float:
-    """Logistic score, strictly increasing in value, 0.5 at the reference
-    center, range scaled by the reference spread."""
-    span = spec.up - spec.down
-    if span <= 0:
-        raise DegenerateRange("up - down collapsed to zero")
-    return 1.0 - 1.0 / (1.0 + np.exp((value - spec.center) / span))
+def indicator_scores(values: np.ndarray, profile: StandardProfile) -> np.ndarray:
+    """The 15 indicator scores of a (15,) value vector, each by its kind's
+    loss function (see the module docstring)."""
+    v = np.asarray(values, dtype=float)
+    p = profile
+    out = np.ones(N_INDICATORS)
+    m = _MAXIMAL
+    out[m] = 1.0 - 1.0 / (1.0 + np.exp((v[m] - p.center[m]) / (p.up[m] - p.down[m])))
+    outside = ~m & ~((p.lo <= v) & (v <= p.hi))
+    below = outside & (v < p.lo)
+    above = outside & ~below
+    out[below] = np.exp(-((p.lo - v)[below] / p.k1[below]))
+    out[above] = np.exp(-((v - p.hi)[above] / p.k2[above]))
+    return out
 
 
-def score_interval(value: float, spec: IndicatorSpec, literal_interval: bool = False) -> float:
-    """1 inside [lo, hi]; exponential decay with distance outside.
-
-    The default continuous form scores exp(-d/k); ``literal_interval``
-    switches to the alternative 1 - exp(-d/k) branches (discontinuous at
-    the boundary).
-    """
-    if spec.lo <= value <= spec.hi:
-        return 1.0
-    if value < spec.lo:
-        d_over_k = (spec.lo - value) / spec.k1
-    else:
-        d_over_k = (value - spec.hi) / spec.k2
-    decay = float(np.exp(-d_over_k))
-    return 1.0 - decay if literal_interval else decay
-
-
-def level_scores(
-    window: MotionWindow,
-    profile: StandardProfile,
-    literal_interval: bool = False,
-) -> np.ndarray:
+def level_scores(window: MotionWindow, profile: StandardProfile) -> np.ndarray:
     """Five level scores: each level averages its three axis indicators
     with equal weight."""
     if window.label is not None and window.label != profile.stroke:
         raise MixedLabels(
             f"window labeled {window.label.name}, profile is {profile.stroke.name}"
         )
-    values = indicator_values(window)
-    q = np.empty(N_LEVELS)
-    for level in range(N_LEVELS):
-        scores = []
-        for axis in range(3):
-            i = 3 * level + axis
-            spec = profile.indicators[i]
-            if spec.kind == "maximal":
-                scores.append(score_maximal(values[i], spec))
-            else:
-                scores.append(score_interval(values[i], spec, literal_interval))
-        q[level] = np.mean(scores)
-    return q
+    scores = indicator_scores(indicator_values(window), profile)
+    return scores.reshape(N_LEVELS, 3).mean(axis=1)
 
 
 def total_score(q: Sequence[float], k: Sequence[float]) -> float:
@@ -329,7 +285,7 @@ def total_score(q: Sequence[float], k: Sequence[float]) -> float:
         raise BadWeights(f"need {N_LEVELS} scores and {N_LEVELS} weights")
     if (k < 0).any() or abs(k.sum() - 1.0) > 0.01:
         raise BadWeights(f"weights must be non-negative and sum to 1, got {k}")
-    if ((q < 0) | (q > 1)).any():
+    if not ((q >= 0) & (q <= 1)).all():
         raise ValueError("level scores must lie in [0, 1]")
     return float(q @ k)
 
@@ -356,12 +312,11 @@ def score_window(
     window: MotionWindow,
     profile: StandardProfile,
     weights: Optional[np.ndarray] = None,
-    literal_interval: bool = False,
 ) -> ScoreReport:
     """Score one window against a reference profile."""
     if weights is None:
         weights = ahp_weights(REFERENCE_AHP_MATRIX)
-    q = level_scores(window, profile, literal_interval=literal_interval)
+    q = level_scores(window, profile)
     return ScoreReport(
         stroke=profile.stroke,
         q=q,

@@ -6,7 +6,8 @@ gap fill and the CSV parser keep their first, one-sample-at-a-time
 implementations, and the window statistics (features, activation markers,
 scoring indicators) their first one-window, one-channel-at-a-time numpy
 implementations, so the faster library paths can be held to them bit for
-bit.
+bit.  The skill scorer keeps its first scalar, one-indicator-at-a-time
+form over plain per-indicator dicts.
 """
 
 import math
@@ -336,6 +337,47 @@ def reference_profile_specs(values):
         k = max(float(col.std()), eps)
         specs.append((center, up, down, lo, hi, k))
     return specs
+
+
+REFERENCE_LEVEL_KINDS = ["maximal", "interval", "maximal", "interval", "interval"]
+
+
+def reference_indicator_dicts(values):
+    """The 15 per-indicator dicts a profile was first stored as, from an
+    (m, 15) indicator matrix: the level's kind, the pooled statistics and
+    k1 = k2 = k."""
+    return [
+        {"kind": REFERENCE_LEVEL_KINDS[i // 3], "center": center, "up": up, "down": down,
+         "lo": lo, "hi": hi, "k1": k, "k2": k}
+        for i, (center, up, down, lo, hi, k) in enumerate(reference_profile_specs(values))
+    ]
+
+
+def reference_level_scores(values, specs):
+    """Five level scores of a (15,) indicator vector against 15
+    per-indicator dicts, scored one scalar indicator at a time as first
+    written: a logistic map for maximal indicators, 1 inside [lo, hi] and
+    exponential decay outside it for interval ones; each level the mean of
+    its three axes."""
+    q = np.empty(5)
+    for level in range(5):
+        scores = []
+        for axis in range(3):
+            i = 3 * level + axis
+            spec, value = specs[i], values[i]
+            if spec["kind"] == "maximal":
+                span = spec["up"] - spec["down"]
+                scores.append(1.0 - 1.0 / (1.0 + np.exp((value - spec["center"]) / span)))
+            elif spec["lo"] <= value <= spec["hi"]:
+                scores.append(1.0)
+            else:
+                if value < spec["lo"]:
+                    d_over_k = (spec["lo"] - value) / spec["k1"]
+                else:
+                    d_over_k = (value - spec["hi"]) / spec["k2"]
+                scores.append(float(np.exp(-d_over_k)))
+        q[level] = np.mean(scores)
+    return q
 
 
 def reference_svm_dual(K, y, c):

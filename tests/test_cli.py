@@ -4,8 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strokesense.cli import main
-from strokesense.windows import LinearSvmModel
+from strokesense.cli import build_parser, main
+from strokesense.metrics import DEFAULT_ALPHA
+from strokesense.mlp import DEFAULT_EPOCHS, DEFAULT_LR
+from strokesense.pca import DEFAULT_RETENTION
+from strokesense.preprocessing import DEFAULT_K0
+from strokesense.synth import GenConfig
+from strokesense.windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, LinearSvmModel
 
 
 def run(*args):
@@ -39,6 +44,30 @@ def pipeline(tmp_path_factory):
         run("fit-pca", "--in", d / "features.csv", "--out", d / "pca.json") == 0
     )
     return d
+
+
+_GEN = GenConfig()
+
+#: (a subcommand's required flags, the library values of its defaults)
+_DEFAULTS = [
+    (["synth", "--out", "d"], {
+        "seed": _GEN.seed, "strokes_per_class": _GEN.strokes_per_class,
+        "noise_sigma": _GEN.noise_sigma, "spike_rate": _GEN.spike_rate,
+        "dropout_rate": _GEN.dropout_rate, "idle_fraction": _GEN.idle_fraction,
+        "period": _GEN.period,
+    }),
+    (["preprocess", "--in", "a", "--out", "b"], {"k0": DEFAULT_K0}),
+    (["segment", "--in", "a", "--out", "b"], {"window": DEFAULT_WIDTH, "overlap": DEFAULT_OVERLAP}),
+    (["fit-pca", "--in", "a", "--out", "b"], {"retention": DEFAULT_RETENTION}),
+    (["train", "--in", "a", "--pca", "p", "--out", "b"], {"lr": DEFAULT_LR, "epochs": DEFAULT_EPOCHS}),
+    (["report", "--predictions", "a", "--out", "b"], {"alpha": DEFAULT_ALPHA}),
+]
+
+
+@pytest.mark.parametrize("argv, library", _DEFAULTS, ids=[argv[0] for argv, _ in _DEFAULTS])
+def test_flag_defaults_are_library_defaults(argv, library):
+    args = vars(build_parser().parse_args(argv))
+    assert {key: args[key] for key in library} == library
 
 
 class TestExitCodes:
@@ -159,6 +188,11 @@ class TestTrainPredictReport:
             ("--gamma", -1),
             ("--gamma", 0),
             ("--gamma", "inf"),
+            ("--model", "mlp", "--lr", -1),
+            ("--model", "mlp", "--lr", 0),
+            ("--model", "mlp", "--lr", "nan"),
+            ("--model", "mlp", "--epochs", 0),
+            ("--model", "mlp", "--epochs", -3),
         ],
     )
     def test_out_of_range_training_input_rejected(self, pipeline, tmp_path, capsys, flags):
@@ -222,6 +256,19 @@ class TestEvaluate:
         assert len(rows) > 1
         totals = [float(r.split(",")[-1]) for r in rows[1:]]
         assert all(0.0 <= t <= 1.0 for t in totals)
+
+    def test_non_finite_profile_rejected(self, pipeline, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        assert run("evaluate", "--in", pipeline / "data.csv", "--windows", pipeline / "windows.csv",
+                   "--stroke", "FOREHAND_ATTACK", "--build-profile", profile) == 0
+        body = json.loads(profile.read_text())
+        body["indicators"][0]["center"] = float("nan")
+        profile.write_text(json.dumps(body))
+        scores = tmp_path / "scores.csv"
+        assert run("evaluate", "--in", pipeline / "data.csv", "--windows", pipeline / "windows.csv",
+                   "--profile", profile, "--out", scores) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not scores.exists()
 
 
 class TestConfig:

@@ -140,6 +140,22 @@ class TestTraining:
         with pytest.raises(ValueError):
             mlp_train(model, [(np.zeros(2), 5)])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lr": -1.0},
+            {"lr": 0.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"epochs": 0},
+            {"epochs": -3},
+        ],
+    )
+    def test_out_of_range_hyperparameters_rejected(self, kwargs):
+        model = mlp_init(2, seed=0, hidden=[4, 4], n_out=2)
+        with pytest.raises(ValueError):
+            mlp_train(model, [(np.zeros(2), 0), (np.ones(2), 1)], **kwargs)
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -1,25 +1,29 @@
+import json
+
 import numpy as np
 import pytest
 
-from strokesense.errors import BadWeights, MixedLabels, NotReciprocal, TooFew
+from oracles import reference_indicator_dicts, reference_indicator_values, reference_level_scores
+from strokesense.errors import BadWeights, DegenerateRange, MixedLabels, NotReciprocal, TooFew
 from strokesense.labels import IDLE, StrokeLabel
+from strokesense.preprocessing import preprocess_series
 from strokesense.scoring import (
+    N_INDICATORS,
     REFERENCE_AHP_MATRIX,
     REFERENCE_LEVEL_WEIGHTS,
-    IndicatorSpec,
     StandardProfile,
     _velocity,
     ahp_weights,
     build_profile,
     consistency,
+    indicator_scores,
     indicator_values,
     level_scores,
-    score_interval,
-    score_maximal,
     score_window,
     total_score,
 )
 from strokesense.synth import GenConfig, generate, stroke_windows
+from strokesense.windows import slide_windows
 
 
 class TestAhp:
@@ -104,49 +108,47 @@ class TestIndicatorValues:
         assert (vals[6:9] >= 0).all()
 
 
-def _spec_maximal(center=1.0, spread=0.5):
-    return IndicatorSpec(
-        kind="maximal", center=center, up=center + spread, down=center - spread,
-        lo=0.0, hi=0.0, k1=1.0, k2=1.0,
-    )
+#: A maximal (strength x) and an interval (force direction x) indicator.
+MAXIMAL, INTERVAL = 0, 3
 
 
-def _spec_interval(lo=-1.0, hi=1.0, k1=2.0, k2=4.0):
-    return IndicatorSpec(
-        kind="interval", center=0.0, up=1.0, down=-1.0,
-        lo=lo, hi=hi, k1=k1, k2=k2,
-    )
+def _profile(center=1.0, spread=0.5, lo=-1.0, hi=1.0, k1=2.0, k2=4.0):
+    """A hand-built profile whose 15 indicators share one set of
+    statistics: up/down = center +- spread, the band [lo, hi]."""
+    stats = [center, center + spread, center - spread, lo, hi, k1, k2]
+    return StandardProfile(StrokeLabel(0), *(np.full(N_INDICATORS, float(x)) for x in stats))
+
+
+def _score(profile, i, value):
+    """Score of indicator ``i`` at ``value``, the other indicators at 0."""
+    values = np.zeros(N_INDICATORS)
+    values[i] = value
+    return indicator_scores(values, profile)[i]
 
 
 class TestScoreMaps:
     def test_maximal_monotone_and_half_at_center(self):
-        spec = _spec_maximal()
-        assert score_maximal(spec.center, spec) == pytest.approx(0.5)
+        profile = _profile()
+        assert _score(profile, MAXIMAL, 1.0) == pytest.approx(0.5)
         grid = np.linspace(-5, 5, 101)
-        scores = [score_maximal(v, spec) for v in grid]
+        scores = [_score(profile, MAXIMAL, v) for v in grid]
         assert all(a < b for a, b in zip(scores, scores[1:]))
         assert all(0 < s < 1 for s in scores)
 
     def test_interval_inside_is_one(self):
-        spec = _spec_interval()
+        profile = _profile()
         for v in (-1.0, -0.3, 0.0, 1.0):
-            assert score_interval(v, spec) == 1.0
+            assert _score(profile, INTERVAL, v) == 1.0
 
     def test_interval_decay_values(self):
-        spec = _spec_interval(lo=-1, hi=1, k1=2.0, k2=4.0)
-        assert score_interval(-3.0, spec) == pytest.approx(np.exp(-1.0))
-        assert score_interval(5.0, spec) == pytest.approx(np.exp(-1.0))
-
-    def test_interval_literal_interval_branches(self):
-        spec = _spec_interval(lo=-1, hi=1, k1=2.0, k2=4.0)
-        assert score_interval(-3.0, spec, literal_interval=True) == pytest.approx(
-            1.0 - np.exp(-1.0)
-        )
+        profile = _profile(lo=-1, hi=1, k1=2.0, k2=4.0)
+        assert _score(profile, INTERVAL, -3.0) == pytest.approx(np.exp(-1.0))
+        assert _score(profile, INTERVAL, 5.0) == pytest.approx(np.exp(-1.0))
 
     def test_interval_continuity_at_boundary(self):
-        spec = _spec_interval()
+        profile = _profile()
         eps = 1e-9
-        assert score_interval(spec.hi + eps, spec) == pytest.approx(1.0, abs=1e-8)
+        assert _score(profile, INTERVAL, 1.0 + eps) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestTotalScore:
@@ -163,6 +165,12 @@ class TestTotalScore:
         q = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         k = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
         assert total_score(q, k) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    def test_scores_outside_unit_interval_rejected(self, bad):
+        q = np.array([1.0, bad, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            total_score(q, REFERENCE_LEVEL_WEIGHTS)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(BadWeights):
@@ -196,8 +204,9 @@ class TestProfiles:
         profile = build_profile(ref)
         again = StandardProfile.from_json(profile.to_json())
         assert again.stroke == profile.stroke
-        for a, b in zip(profile.indicators, again.indicators):
-            assert a.to_dict() == b.to_dict()
+        for name in ("center", "up", "down", "lo", "hi", "k1", "k2"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(profile, name))
+        assert again.to_dict() == profile.to_dict()
 
     def test_reference_windows_score_high(self):
         ref = _class_windows(31, StrokeLabel(2), noise=0.02)
@@ -212,6 +221,29 @@ class TestProfiles:
         good = np.mean([score_window(w, profile).total for w in ref])
         bad = np.mean([score_window(w, profile).total for w in sloppy])
         assert bad < good
+
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [
+            ("center", float("nan"), ValueError),
+            ("center", float("inf"), ValueError),
+            ("k1", float("nan"), ValueError),
+            ("k1", float("inf"), ValueError),
+            ("lo", float("nan"), ValueError),
+            ("lo", float("-inf"), ValueError),
+            ("kind", "interval", ValueError),
+            ("up", None, DegenerateRange),
+        ],
+    )
+    def test_bad_profile_rejected_on_load(self, key, value, error):
+        """Indicator 0 is a maximal (strength) indicator; a profile whose
+        statistics would score NaN, or that disagrees with the level's
+        kind, never loads."""
+        d = build_profile(_class_windows(31, StrokeLabel(2), noise=0.02)).to_dict()
+        spec = d["indicators"][0]
+        spec[key] = spec["down"] if key == "up" else value
+        with pytest.raises(error):
+            StandardProfile.from_dict(d)
 
     def test_wrong_label_rejected(self):
         ref = _class_windows(31, StrokeLabel(2), noise=0.02)
@@ -230,3 +262,34 @@ class TestProfiles:
         assert 0.0 <= report.total <= 1.0
         d = report.to_dict()
         assert set(d) == {"stroke", "q", "total", "weights"}
+
+
+def _faulty(seed):
+    cfg = GenConfig(seed=seed, strokes_per_class=3, spike_rate=0.002, dropout_rate=0.01)
+    return generate(cfg)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scores_match_reference(seed):
+    """Every grid window of a faulty corpus against all six profiles, and
+    each stroke window against its own: level scores and totals bit-equal
+    to the scalar scorer, profile JSON equal to the per-indicator layout."""
+    series, truth = _faulty(seed)
+    strokes = stroke_windows(series, truth)
+    grid = slide_windows(preprocess_series(series))
+    weights = ahp_weights(REFERENCE_AHP_MATRIX)
+    grid_values = [reference_indicator_values(w) for w in grid]
+    for label in StrokeLabel:
+        group = [w for w in strokes if w.label == label]
+        specs = reference_indicator_dicts(np.array([reference_indicator_values(w) for w in group]))
+        profile = build_profile(group)
+        assert profile.to_json() == json.dumps(
+            {"stroke": label.name, "indicators": specs}, sort_keys=True
+        )
+        pairs = list(zip(grid, grid_values)) + [(w, reference_indicator_values(w)) for w in group]
+        for w, values in pairs:
+            want = reference_level_scores(values, specs)
+            np.testing.assert_array_equal(level_scores(w, profile), want)
+            report = score_window(w, profile, weights=weights)
+            np.testing.assert_array_equal(report.q, want)
+            assert report.total == float(want @ weights)

@@ -130,6 +130,12 @@ def test_one_row_window_too_short():
         channel_stats([1.0, 2.0], [1.0])
 
 
+def _profile_specs(profile):
+    """(center, up, down, lo, hi, k1) per indicator, as Python floats."""
+    stats = (profile.center, profile.up, profile.down, profile.lo, profile.hi, profile.k1)
+    return list(zip(*(stat.tolist() for stat in stats)))
+
+
 @pytest.mark.parametrize("seed", FAULTY_SEEDS)
 def test_profiles_match_reference(seed):
     series, truth = _faulty(seed)
@@ -137,10 +143,9 @@ def test_profiles_match_reference(seed):
     for label in StrokeLabel:
         group = [w for w in windows if w.label == label]
         profile = build_profile(group)
-        got = [(s.center, s.up, s.down, s.lo, s.hi, s.k1) for s in profile.indicators]
         want = reference_profile_specs(np.array([reference_indicator_values(w) for w in group]))
-        assert got == want
-        assert all(s.k1 == s.k2 for s in profile.indicators)
+        assert _profile_specs(profile) == want
+        assert np.array_equal(profile.k1, profile.k2)
 
 
 def test_profile_with_collapsed_indicator():
@@ -149,9 +154,9 @@ def test_profile_with_collapsed_indicator():
     channels[:, :, 6] = 1.5  # the angle_x window mean is the same in every window
     group = [MotionWindow(0, c, label=StrokeLabel(0)) for c in channels]
     profile = build_profile(group)
-    got = [(s.center, s.up, s.down, s.lo, s.hi, s.k1) for s in profile.indicators]
-    assert got == reference_profile_specs(np.array([reference_indicator_values(w) for w in group]))
-    assert profile.indicators[12].up > profile.indicators[12].down
+    want = reference_profile_specs(np.array([reference_indicator_values(w) for w in group]))
+    assert _profile_specs(profile) == want
+    assert profile.up[12] > profile.down[12]
 
 
 def test_all_idle_session_classifies_nothing(small_corpus, small_features):
