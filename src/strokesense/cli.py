@@ -17,7 +17,7 @@ from . import __version__
 from .errors import StrokeSenseError
 from .features import FEATURE_NAMES, window_features
 from .io import parse_series, serialize_series
-from .labels import IDLE, LABEL_NAMES, StrokeLabel
+from .labels import IDLE, StrokeLabel
 from .metrics import DEFAULT_ALPHA, classification_report, confusion, heatmap_csv
 from .mlp import DEFAULT_EPOCHS, DEFAULT_LR, MlpModel, mlp_init, mlp_predict_batch, mlp_train
 from .pca import DEFAULT_RETENTION, PcaModel, fit_pca, transform
@@ -122,13 +122,7 @@ def _cmd_synth(args):
 
 def _cmd_preprocess(args):
     series = parse_series(Path(args.infile).read_text())
-    cleaned = preprocess_series(
-        series,
-        k0=args.k0,
-        delta_a=args.delta_a,
-        outlier=not args.no_outlier,
-        smooth=not args.no_filter,
-    )
+    cleaned = preprocess_series(series, k0=args.k0, delta_a=args.delta_a)
     Path(args.out).write_text(serialize_series(cleaned))
     _summary(
         command="preprocess",
@@ -180,7 +174,7 @@ def _cmd_extract(args):
 
 def _cmd_fit_pca(args):
     _, X = _read_features(args.infile)
-    model = fit_pca(X, retention=args.retention, standardize=not args.no_standardize)
+    model = fit_pca(X, retention=args.retention)
     Path(args.out).write_text(model.to_json() + "\n")
     _summary(command="fit-pca", k=model.k, retention=args.retention, out=args.out)
 
@@ -250,8 +244,6 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
-    if (args.build_profile is None) == (args.profile is None):
-        raise SystemExit(_usage_error("evaluate needs exactly one of --build-profile / --profile"))
     _, windows = _windows_from_files(args.infile, args.windows)
     if args.stroke:
         wanted = StrokeLabel.from_name(args.stroke)
@@ -272,17 +264,15 @@ def _cmd_evaluate(args):
     windows = [w for w in windows if w.label in (None, profile.stroke)]
     weights = ahp_weights(REFERENCE_AHP_MATRIX)
     lines = ["stroke,Q1,Q2,Q3,Q4,Q5,Q"]
-    reports = []
+    totals = []
     for w in windows:
         rep = score_window(w, profile, weights=weights)
-        reports.append(rep.to_dict())
+        totals.append(rep.total)
         qs = ",".join(repr(float(q)) for q in rep.q)
         lines.append(f"{rep.stroke.name},{qs},{rep.total!r}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    if args.json_out:
-        _dump_json(args.json_out, reports)
-    mean_q = float(np.mean([r["total"] for r in reports])) if reports else None
-    _summary(command="evaluate", mode="score", windows=len(reports), mean_q=mean_q, out=args.out)
+    mean_q = float(np.mean(totals)) if totals else None
+    _summary(command="evaluate", mode="score", windows=len(totals), mean_q=mean_q, out=args.out)
 
 
 def _svg_heatmap(counts, path):
@@ -335,11 +325,6 @@ def _cmd_report(args):
     )
 
 
-def _usage_error(message):
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 # --- parser ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--k0", type=float, default=DEFAULT_K0)
     p.add_argument("--delta-a", type=float, default=None)
-    p.add_argument("--no-filter", action="store_true")
-    p.add_argument("--no-outlier", action="store_true")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("segment", help="cut sliding windows, optionally gated")
@@ -391,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--retention", type=float, default=DEFAULT_RETENTION)
-    p.add_argument("--no-standardize", action="store_true")
     p.set_defaults(func=_cmd_fit_pca)
 
     p = sub.add_parser("train", help="train a stroke classifier")
@@ -417,11 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="build or apply a scoring profile")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--windows", required=True)
-    p.add_argument("--build-profile", help="write a profile JSON from reference windows")
-    p.add_argument("--profile", help="score windows against this profile JSON")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--build-profile", help="write a profile JSON from reference windows")
+    mode.add_argument("--profile", help="score windows against this profile JSON")
     p.add_argument("--stroke", help="restrict to one stroke class (e.g. FOREHAND_ATTACK)")
     p.add_argument("--out", default="scores.csv")
-    p.add_argument("--json-out", help="also write score reports as JSON")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="confusion matrix and P/R/F report")
@@ -467,11 +449,7 @@ def _apply_config(parser, argv):
     for key, value in spec.items():
         if key not in flags:
             parser.error(f"config key {key!r} is not a flag of {command}")
-        if isinstance(value, bool):
-            if value:
-                extra.append(flags[key])
-        else:
-            extra.append(f"{flags[key]}={value}")
+        extra.append(f"{flags[key]}={value}")
     return rest[: at + 1] + extra + rest[at + 1 :]
 
 
@@ -485,8 +463,6 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         args.func(args)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
     except (StrokeSenseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

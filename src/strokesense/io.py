@@ -51,8 +51,10 @@ class SensorSeries:
             raise MalformedRow("non-finite sample value")
         if t.size > 1 and not (np.diff(t) > 0).all():
             raise NonMonotonicTime("timestamps must be strictly increasing")
-        if sample_period <= 0:
-            raise MalformedRow(f"sample_period must be positive, got {sample_period}")
+        if not 0 < sample_period < np.inf:
+            raise MalformedRow(
+                f"sample_period must be positive and finite, got {sample_period}"
+            )
         self._t = t.copy()
         self._channels = channels.copy()
         self._t.setflags(write=False)
@@ -66,18 +68,6 @@ class SensorSeries:
     @property
     def channels(self) -> np.ndarray:
         return self._channels
-
-    @property
-    def acc(self) -> np.ndarray:
-        return self._channels[:, 0:3]
-
-    @property
-    def gyro(self) -> np.ndarray:
-        return self._channels[:, 3:6]
-
-    @property
-    def angle(self) -> np.ndarray:
-        return self._channels[:, 6:9]
 
     def __len__(self) -> int:
         return self._t.shape[0]

@@ -23,7 +23,6 @@ EARLY_STOP_TOL = 1e-5
 class MlpModel:
     weights: List[np.ndarray]  # per layer, (fan_in, fan_out)
     biases: List[np.ndarray]
-    activation: str = "tanh"
     loss_history: List[float] = field(default_factory=list)
 
     @property
@@ -33,7 +32,7 @@ class MlpModel:
     def to_dict(self) -> dict:
         return {
             "type": "mlp",
-            "activation": self.activation,
+            "activation": "tanh",
             "sizes": self.sizes,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -44,10 +43,14 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
+        """Only tanh hidden layers exist; a model file naming another
+        activation is rejected with ValueError."""
+        activation = d.get("activation", "tanh")
+        if activation != "tanh":
+            raise ValueError(f"unsupported activation {activation!r}; only tanh exists")
         return cls(
             weights=[np.array(w, dtype=float) for w in d["weights"]],
             biases=[np.array(b, dtype=float) for b in d["biases"]],
-            activation=d.get("activation", "tanh"),
         )
 
     @classmethod
@@ -58,7 +61,6 @@ class MlpModel:
         return MlpModel(
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
         )
 
 

@@ -145,8 +145,8 @@ def adaptive_filter(
     """
     if not 0.0 <= k0 <= 1.0:
         raise ValueError(f"k0 must lie in [0, 1], got {k0}")
-    if delta_a <= 0:
-        raise ValueError(f"delta_a must be positive, got {delta_a}")
+    if not 0 < delta_a < np.inf:
+        raise ValueError(f"delta_a must be positive and finite, got {delta_a}")
     _require_gap_free(channel)
     xs = channel.values.tolist()
     hold = 1.0 - k0
@@ -168,8 +168,6 @@ def preprocess_channel(
     channel: ChannelSeries,
     k0: float = DEFAULT_K0,
     delta_a: Optional[float] = None,
-    outlier: bool = True,
-    smooth: bool = True,
 ) -> ChannelSeries:
     """Full cleaning chain: outlier removal, gap fill, adaptive smoothing.
 
@@ -177,12 +175,9 @@ def preprocess_channel(
     after interpolation.
     """
     cleaned = channel if channel.gap_free else newton_fill(channel)
-    if outlier:
-        cleaned = remove_outliers(cleaned)
-        if not cleaned.gap_free:
-            cleaned = newton_fill(cleaned)
-    if not smooth:
-        return cleaned
+    cleaned = remove_outliers(cleaned)
+    if not cleaned.gap_free:
+        cleaned = newton_fill(cleaned)
     if delta_a is None:
         span = float(cleaned.values.max() - cleaned.values.min())
         delta_a = max(DEFAULT_DELTA_A_FRACTION * span, 1e-12)
@@ -193,8 +188,6 @@ def preprocess_series(
     series: SensorSeries,
     k0: float = DEFAULT_K0,
     delta_a: Optional[float] = None,
-    outlier: bool = True,
-    smooth: bool = True,
 ) -> SensorSeries:
     """Clean all nine channels of a series, restoring dropped rows.
 
@@ -225,10 +218,7 @@ def preprocess_series(
         values = np.zeros(n_full)
         values[idx] = series.channels[:, ch]
         channel = ChannelSeries(values, grid_t, base_present.copy())
-        cleaned = preprocess_channel(
-            channel, k0=k0, delta_a=delta_a, outlier=outlier, smooth=smooth
-        )
-        out[:, ch] = cleaned.values
+        out[:, ch] = preprocess_channel(channel, k0=k0, delta_a=delta_a).values
     return SensorSeries(grid_t, out, sample_period=p)
 
 

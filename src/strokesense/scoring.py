@@ -253,7 +253,9 @@ def indicator_scores(values: np.ndarray, profile: StandardProfile) -> np.ndarray
     p = profile
     out = np.ones(N_INDICATORS)
     m = _MAXIMAL
-    out[m] = 1.0 - 1.0 / (1.0 + np.exp((v[m] - p.center[m]) / (p.up[m] - p.down[m])))
+    # Far above the range exp overflows to inf and the score is exactly 1.
+    with np.errstate(over="ignore"):
+        out[m] = 1.0 - 1.0 / (1.0 + np.exp((v[m] - p.center[m]) / (p.up[m] - p.down[m])))
     outside = ~m & ~((p.lo <= v) & (v <= p.hi))
     below = outside & (v < p.lo)
     above = outside & ~below

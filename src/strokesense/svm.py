@@ -207,14 +207,13 @@ def train_dagsvm(
     y: Sequence[int],
     c: float = 1.0,
     gamma: Optional[float] = None,
-    classes: Optional[Sequence[int]] = None,
 ) -> DagSvmModel:
-    """Train one pairwise model per unordered class pair, all sharing one
-    ``gamma``; ``c`` and ``gamma`` as in :func:`train_pairwise_svm`."""
+    """Train one pairwise model per unordered pair of the six stroke
+    classes, all sharing one ``gamma``; ``c`` and ``gamma`` as in
+    :func:`train_pairwise_svm`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    if classes is None:
-        classes = sorted(int(v) for v in set(StrokeLabel))
+    classes = [int(v) for v in StrokeLabel]
     if gamma is None:
         gamma = default_gamma(X)
     models = {}
@@ -227,7 +226,7 @@ def train_dagsvm(
                 gamma=gamma,
                 class_pair=(a, b_cls),
             )
-    return DagSvmModel(models=models, class_order=list(classes))
+    return DagSvmModel(models=models, class_order=classes)
 
 
 def dag_predict(dag: DagSvmModel, x: np.ndarray, trace: bool = False):

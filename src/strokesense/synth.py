@@ -36,8 +36,8 @@ class GenConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise BadConfig(f"{name} must lie in [0, 1), got {v}")
-        if self.period <= 0 or self.sample_period <= 0:
-            raise BadConfig("period and sample_period must be positive")
+        if not (0 < self.period < np.inf and 0 < self.sample_period < np.inf):
+            raise BadConfig("period and sample_period must be positive and finite")
         if self.strokes_per_class < 1:
             raise BadConfig("strokes_per_class must be at least 1")
 

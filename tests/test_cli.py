@@ -89,6 +89,20 @@ class TestExitCodes:
         assert run("preprocess", "--in", bad, "--out", tmp_path / "o.csv") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preprocess", "--in", "a", "--out", "b", "--no-filter"],
+            ["preprocess", "--in", "a", "--out", "b", "--no-outlier"],
+            ["fit-pca", "--in", "a", "--out", "b", "--no-standardize"],
+            ["evaluate", "--in", "a", "--windows", "w", "--profile", "p", "--json-out", "j"],
+        ],
+        ids=["no-filter", "no-outlier", "no-standardize", "json-out"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        assert run(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_outputs_and_summary(self, tmp_path, capsys):
@@ -98,6 +112,12 @@ class TestSynth:
         assert summary["command"] == "synth"
         assert (tmp_path / "data.csv").exists()
         assert (tmp_path / "labels.csv").exists()
+
+    @pytest.mark.parametrize("period", ["inf", "nan", "0"])
+    def test_bad_period_is_data_error(self, tmp_path, capsys, period):
+        assert run("synth", "--period", period, "--out", tmp_path) == 2
+        assert "period" in capsys.readouterr().err
+        assert not (tmp_path / "data.csv").exists()
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -114,6 +134,14 @@ class TestPreprocess:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["command"] == "preprocess"
         assert out.exists()
+
+    @pytest.mark.parametrize("delta_a", ["nan", "inf", "0"])
+    def test_bad_delta_a_is_data_error(self, pipeline, tmp_path, capsys, delta_a):
+        out = tmp_path / "clean.csv"
+        assert run("preprocess", "--in", pipeline / "data.csv", "--out", out,
+                   "--delta-a", delta_a) == 2
+        assert "delta_a" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainPredictReport:
@@ -256,6 +284,13 @@ class TestEvaluate:
         assert len(rows) > 1
         totals = [float(r.split(",")[-1]) for r in rows[1:]]
         assert all(0.0 <= t <= 1.0 for t in totals)
+
+    @pytest.mark.parametrize("mode", [[], ["--build-profile", "a.json", "--profile", "b.json"]],
+                             ids=["neither", "both"])
+    def test_needs_exactly_one_mode(self, pipeline, tmp_path, capsys, mode):
+        assert run("evaluate", "--in", pipeline / "data.csv", "--windows", pipeline / "windows.csv",
+                   *mode) == 1
+        assert "--build-profile" in capsys.readouterr().err
 
     def test_non_finite_profile_rejected(self, pipeline, tmp_path, capsys):
         profile = tmp_path / "profile.json"

@@ -54,6 +54,12 @@ class TestParse:
         text = _csv([_row(0.0), _row(0.02)], extra=["# period=0.02"])
         assert parse_series(text).sample_period == 0.02
 
+    @pytest.mark.parametrize("period", ["nan", "inf", "0"])
+    def test_bad_period_directive_value(self, period):
+        text = _csv([_row(0.0), _row(0.01)], extra=[f"# period={period}"])
+        with pytest.raises(MalformedRow, match="sample_period"):
+            parse_series(text)
+
     def test_comments_skipped(self):
         text = _csv([_row(0.0), _row(0.01)], extra=["# a comment"])
         assert len(parse_series(text)) == 2

@@ -164,3 +164,10 @@ class TestSerialization:
         x = np.arange(4.0)
         np.testing.assert_array_equal(mlp_forward(model, x), mlp_forward(again, x))
         assert mlp_predict(model, x) == mlp_predict(again, x)
+
+    def test_activation_is_tanh_only(self):
+        body = _tiny_model().to_dict()
+        assert body["activation"] == "tanh"
+        body["activation"] = "relu"
+        with pytest.raises(ValueError, match="relu"):
+            MlpModel.from_dict(body)

@@ -162,7 +162,10 @@ class TestAdaptiveFilter:
         assert (np.diff(rise) >= -1e-12).all()
         assert rise[-1] < 1.0
 
-    @pytest.mark.parametrize("k0, delta_a", [(-0.1, 0.05), (1.5, 0.05), (0.3, 0.0), (0.3, -1.0)])
+    @pytest.mark.parametrize(
+        "k0, delta_a",
+        [(-0.1, 0.05), (1.5, 0.05), (0.3, 0.0), (0.3, -1.0), (0.3, np.nan), (0.3, np.inf)],
+    )
     def test_out_of_range_parameters_rejected(self, k0, delta_a):
         with pytest.raises(ValueError):
             adaptive_filter(ChannelSeries.from_values([1.0, 2.0]), k0=k0, delta_a=delta_a)

@@ -135,6 +135,11 @@ class TestScoreMaps:
         assert all(a < b for a, b in zip(scores, scores[1:]))
         assert all(0 < s < 1 for s in scores)
 
+    @pytest.mark.filterwarnings("error")
+    def test_maximal_far_above_range_is_one_without_warning(self):
+        profile = _profile()
+        assert _score(profile, MAXIMAL, 1e6) == 1.0
+
     def test_interval_inside_is_one(self):
         profile = _profile()
         for v in (-1.0, -0.3, 0.0, 1.0):

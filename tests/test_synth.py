@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strokesense.errors import BadConfig
 from strokesense.labels import IDLE, LABEL_NAMES, StrokeLabel
 from strokesense.synth import (
     CLASS_TEMPLATES,
@@ -107,6 +108,13 @@ class TestGenerate:
     def test_timestamps_monotone(self):
         series, _ = generate(GenConfig(seed=8, strokes_per_class=3, dropout_rate=0.05))
         assert (np.diff(series.t) > 0).all()
+
+
+@pytest.mark.parametrize("field", ["period", "sample_period"])
+@pytest.mark.parametrize("value", [0.0, float("inf"), float("nan")])
+def test_bad_period_rejected(field, value):
+    with pytest.raises(BadConfig):
+        GenConfig(**{field: value})
 
 
 class TestTruthCsv:
