@@ -8,7 +8,6 @@ from .metrics import ConfusionMatrix, classification_report, confusion, f_measur
 from .mlp import MlpModel, mlp_forward, mlp_init, mlp_predict, mlp_train
 from .pca import PcaModel, contribution_rates, fit_pca, transform
 from .preprocessing import (
-    ChannelSeries,
     adaptive_filter,
     diff_stats,
     newton_fill,

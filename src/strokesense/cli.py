@@ -37,6 +37,7 @@ from .windows import (
     LinearSvmModel,
     MotionWindow,
     is_active,
+    majority_labels,
     slide_windows,
 )
 
@@ -84,9 +85,18 @@ def _read_features(path):
 
 
 def _windows_from_files(data_path, windows_path):
+    """The windows a ``windows.csv`` cuts from a data CSV; every span must
+    lie within the series (``0 <= start < end <= rows``)."""
     series = parse_series(Path(data_path).read_text())
+    text = Path(windows_path).read_text()
+    linenos = [k for k, line in enumerate(text.splitlines(), start=1) if k > 1 and line.strip()]
     out = []
-    for start, end, label in truth_from_csv(Path(windows_path).read_text()):
+    for lineno, (start, end, label) in zip(linenos, truth_from_csv(text)):
+        if not 0 <= start < end <= len(series):
+            raise StrokeSenseError(
+                f"{windows_path} line {lineno}: span {start},{end} does not lie "
+                f"within the {len(series)} rows of {data_path}"
+            )
         lab = None if label in (IDLE, "") else StrokeLabel.from_name(label)
         out.append(
             MotionWindow(
@@ -135,31 +145,19 @@ def _cmd_preprocess(args):
 def _cmd_segment(args):
     series = parse_series(Path(args.infile).read_text())
     windows = slide_windows(series, width=args.window, overlap=args.overlap)
-    truth = None
+    if args.activation_model:
+        gate = LinearSvmModel.from_dict(json.loads(Path(args.activation_model).read_text()))
+        windows = [w for w in windows if is_active(w, gate)]
+    spans = []
     if args.labels:
-        truth = [
+        spans = [
             (s, e, lab)
             for s, e, lab in truth_from_csv(Path(args.labels).read_text())
             if lab != IDLE
         ]
-    gate = None
-    if args.activation_model:
-        gate = LinearSvmModel.from_dict(json.loads(Path(args.activation_model).read_text()))
-    rows = []
-    for w in windows:
-        if gate is not None and not is_active(w, gate):
-            continue
-        label = ""
-        if truth is not None:
-            # majority-overlap stroke label, require at least half the window
-            best, best_ov = "", 0
-            for s, e, lab in truth:
-                ov = max(0, min(e, w.start_index + w.width) - max(s, w.start_index))
-                if ov > best_ov:
-                    best, best_ov = lab, ov
-            if best_ov * 2 >= w.width:
-                label = best
-        rows.append((w.start_index, w.start_index + w.width, label))
+    starts = [w.start_index for w in windows]
+    labels = majority_labels(starts, args.window, spans)
+    rows = [(s, s + args.window, lab) for s, lab in zip(starts, labels)]
     Path(args.out).write_text(truth_to_csv(rows))
     _summary(command="segment", windows=len(rows), out=args.out)
 

@@ -129,10 +129,7 @@ def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
         if not rows:
             raise EmptyInput("no data rows in input")
         table = np.array(rows)
-    t = table[:, 0]
-    if t.size > 1 and not (np.diff(t) > 0).all():
-        raise NonMonotonicTime("timestamps must be strictly increasing")
-    return SensorSeries(t, table[:, 1:], sample_period=period)
+    return SensorSeries(table[:, 0], table[:, 1:], sample_period=period)
 
 
 def _parse_row(lineno: int, line: str) -> list:

@@ -1,11 +1,13 @@
-"""Single-channel signal cleaning.
+"""Single-channel signal cleaning on plain arrays.
 
 Three stages, applied in order: first-difference 3-sigma outlier removal,
 cubic Newton interpolation of the resulting gaps, and threshold-adaptive
-exponential smoothing.
+exponential smoothing.  A channel is a float array of values.  The gap
+fill also takes the sample positions and a boolean known/missing mask of
+the same length; outlier removal returns such a mask.  No stage modifies
+its inputs.
 """
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -18,71 +20,38 @@ DEFAULT_K0 = 0.3
 DEFAULT_DELTA_A_FRACTION = 0.05  # of the channel's peak-valley span
 
 
-@dataclass
-class ChannelSeries:
-    """Scalar samples with positions and a known/missing mask."""
-
-    values: np.ndarray
-    positions: np.ndarray
-    present: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.present = np.asarray(self.present, dtype=bool)
-        if not (len(self.values) == len(self.positions) == len(self.present)):
-            raise ValueError("values, positions and present must be equal length")
-        if len(self.positions) > 1 and not (np.diff(self.positions) > 0).all():
-            raise ValueError("positions must be strictly increasing")
-
-    @classmethod
-    def from_values(cls, values, positions=None) -> "ChannelSeries":
-        values = np.asarray(values, dtype=float)
-        if positions is None:
-            positions = np.arange(len(values), dtype=float)
-        return cls(values, positions, np.ones(len(values), dtype=bool))
-
-    @property
-    def gap_free(self) -> bool:
-        return bool(self.present.all())
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def diff_stats(channel: ChannelSeries) -> Tuple[float, float]:
-    """(ex, sigma): mean and std of the first differences of a gap-free
-    channel.
+def diff_stats(values) -> Tuple[float, float]:
+    """(ex, sigma): mean and std of the first differences of gap-free
+    values.
 
     Both moments divide by the number of differences (n - 1 samples give
     n - 1 diffs; population convention).
     """
-    _require_gap_free(channel)
-    if len(channel) < 2:
+    values = np.asarray(values, dtype=float)
+    if len(values) < 2:
         raise TooShort("need at least 2 samples for first differences")
-    diffs = np.diff(channel.values)
+    diffs = np.diff(values)
     ex = float(diffs.mean())
     sigma = float(np.sqrt(np.mean((diffs - ex) ** 2)))
     return ex, sigma
 
 
-def remove_outliers(channel: ChannelSeries) -> ChannelSeries:
-    """Mark samples whose incoming first difference violates the 3-sigma
-    rule as missing.
+def remove_outliers(values) -> np.ndarray:
+    """The known/missing mask left by the 3-sigma rule on gap-free values:
+    False marks a sample whose incoming first difference violates it.
 
     A difference X_i outside the open interval (EX - 3s, EX + 3s) flags
     sample x_{i+1}.  A near-zero spread (constant channel) removes nothing.
     """
-    ex, sigma = diff_stats(channel)
-    values = channel.values.copy()
-    present = channel.present.copy()
+    values = np.asarray(values, dtype=float)
+    ex, sigma = diff_stats(values)
+    present = np.ones(len(values), dtype=bool)
     if sigma < SIGMA_EPS_SCALE * max(1.0, abs(ex)):
-        return ChannelSeries(values, channel.positions.copy(), present)
+        return present
     diffs = np.diff(values)
     lo, hi = ex - 3 * sigma, ex + 3 * sigma
-    bad = ~((diffs > lo) & (diffs < hi))
-    present[1:][bad] = False
-    return ChannelSeries(values, channel.positions.copy(), present)
+    present[1:] = (diffs > lo) & (diffs < hi)
+    return present
 
 
 def _divided_difference_fill(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
@@ -99,26 +68,34 @@ def _divided_difference_fill(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
     return float(result)
 
 
-def newton_fill(channel: ChannelSeries, support: int = 4) -> ChannelSeries:
-    """Fill every missing sample with the cubic Newton interpolant built
-    on its four nearest known samples.
+def newton_fill(values, positions, present, support: int = 4) -> np.ndarray:
+    """Fill every missing sample (``present`` False) with the cubic Newton
+    interpolant built on its four nearest known samples; returns the
+    filled values.
 
-    Gaps are filled left to right; earlier fills become usable support for
-    later ones.  So when gap ``j`` is filled every sample left of it is
-    known, and its four nearest supports lie among ``j-4 .. j-1`` and the
-    first four originally known samples right of ``j``.  One
-    ``searchsorted`` over the known positions finds those candidates for
-    all gaps, which makes the fill O(gaps + n).  Ties on distance go to
-    the lower index (a stable sort of the candidates in index order).
+    ``values``, ``positions`` and ``present`` must have one length, and
+    the positions must be strictly increasing (``ValueError``).  Gaps are
+    filled left to right; earlier fills become usable support for later
+    ones.  So when gap ``j`` is filled every sample left of it is known,
+    and its four nearest supports lie among ``j-4 .. j-1`` and the first
+    four originally known samples right of ``j``.  One ``searchsorted``
+    over the known positions finds those candidates for all gaps, which
+    makes the fill O(gaps + n).  Ties on distance go to the lower index (a
+    stable sort of the candidates in index order).
     """
-    values = channel.values.copy()
-    positions = channel.positions
-    known_idx = np.nonzero(channel.present)[0]
+    values = np.array(values, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    present = np.asarray(present, dtype=bool)
+    if not len(values) == len(positions) == len(present):
+        raise ValueError("values, positions and present must be equal length")
+    if len(positions) > 1 and not (np.diff(positions) > 0).all():
+        raise ValueError("positions must be strictly increasing")
+    known_idx = np.nonzero(present)[0]
     if len(known_idx) < support:
         raise InsufficientSupport(
             f"need at least {support} known samples, have {len(known_idx)}"
         )
-    missing = np.nonzero(~channel.present)[0]
+    missing = np.nonzero(~present)[0]
     right = np.searchsorted(known_idx, missing)
     for j, r in zip(missing.tolist(), right.tolist()):
         near = np.concatenate(
@@ -128,14 +105,14 @@ def newton_fill(channel: ChannelSeries, support: int = 4) -> ChannelSeries:
         picked = np.sort(near[order[:support]])
         xs, ys = positions[picked], values[picked]
         values[j] = _divided_difference_fill(xs, ys, float(positions[j]))
-    return ChannelSeries(values, positions.copy(), np.ones(len(values), dtype=bool))
+    return values
 
 
 def adaptive_filter(
-    channel: ChannelSeries, k0: float = DEFAULT_K0, delta_a: float = 0.05
-) -> ChannelSeries:
-    """Threshold-adaptive exponential smoother with default gain ``k0`` in
-    [0, 1] and motion threshold ``delta_a`` > 0.
+    values, k0: float = DEFAULT_K0, delta_a: float = 0.05
+) -> np.ndarray:
+    """Threshold-adaptive exponential smoother of gap-free values with
+    default gain ``k0`` in [0, 1] and motion threshold ``delta_a`` > 0.
 
     Each step forms a provisional output at the default gain k0 to measure
     the step size D; when |D| exceeds the motion threshold the gain becomes
@@ -147,8 +124,7 @@ def adaptive_filter(
         raise ValueError(f"k0 must lie in [0, 1], got {k0}")
     if not 0 < delta_a < np.inf:
         raise ValueError(f"delta_a must be positive and finite, got {delta_a}")
-    _require_gap_free(channel)
-    xs = channel.values.tolist()
+    xs = np.asarray(values, dtype=float).tolist()
     hold = 1.0 - k0
     ys = xs[:1]
     y_prev = xs[0] if xs else None
@@ -160,28 +136,32 @@ def adaptive_filter(
             m = 0.0
         y_prev = m * x + (1.0 - m) * y_prev
         ys.append(y_prev)
-    y = np.array(ys, dtype=float)
-    return ChannelSeries(y, channel.positions.copy(), np.ones(len(y), dtype=bool))
+    return np.array(ys, dtype=float)
 
 
 def preprocess_channel(
-    channel: ChannelSeries,
+    values,
+    positions,
+    present,
     k0: float = DEFAULT_K0,
     delta_a: Optional[float] = None,
-) -> ChannelSeries:
-    """Full cleaning chain: outlier removal, gap fill, adaptive smoothing.
+) -> np.ndarray:
+    """Full cleaning chain: gap fill, outlier removal, refill of the
+    removed samples, adaptive smoothing.  Returns the cleaned values.
 
     ``delta_a`` defaults to 5% of the channel's peak-valley span measured
     after interpolation.
     """
-    cleaned = channel if channel.gap_free else newton_fill(channel)
-    cleaned = remove_outliers(cleaned)
-    if not cleaned.gap_free:
-        cleaned = newton_fill(cleaned)
+    values = np.asarray(values, dtype=float)
+    if not np.all(present):
+        values = newton_fill(values, positions, present)
+    present = remove_outliers(values)
+    if not present.all():
+        values = newton_fill(values, positions, present)
     if delta_a is None:
-        span = float(cleaned.values.max() - cleaned.values.min())
+        span = float(values.max() - values.min())
         delta_a = max(DEFAULT_DELTA_A_FRACTION * span, 1e-12)
-    return adaptive_filter(cleaned, k0=k0, delta_a=delta_a)
+    return adaptive_filter(values, k0=k0, delta_a=delta_a)
 
 
 def preprocess_series(
@@ -217,11 +197,5 @@ def preprocess_series(
     for ch in range(series.channels.shape[1]):
         values = np.zeros(n_full)
         values[idx] = series.channels[:, ch]
-        channel = ChannelSeries(values, grid_t, base_present.copy())
-        out[:, ch] = preprocess_channel(channel, k0=k0, delta_a=delta_a).values
+        out[:, ch] = preprocess_channel(values, grid_t, base_present, k0=k0, delta_a=delta_a)
     return SensorSeries(grid_t, out, sample_period=p)
-
-
-def _require_gap_free(channel: ChannelSeries):
-    if not channel.gap_free:
-        raise ValueError("operation requires a gap-free channel")

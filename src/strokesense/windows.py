@@ -93,6 +93,33 @@ def slide_windows(
     ]
 
 
+def majority_labels(
+    starts: Sequence[int], width: int, spans: Sequence[Tuple[int, int, str]]
+) -> List[str]:
+    """Label of each window ``[start, start + width)`` by majority overlap.
+
+    A window takes the label of the span ``(s, e, label)`` that overlaps
+    it most, the first such span on a tie, and only if that overlap is at
+    least half the window.  Otherwise, and when there are no spans, its
+    label is ``""``.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if not spans:
+        return [""] * len(starts)
+    s, e = np.array([span[:2] for span in spans], dtype=np.int64).T
+    names = np.array([""] + [span[2] for span in spans], dtype=object)
+    labels = []
+    step = max(1, (1 << 17) // len(spans))  # windows per block: bounded memory
+    for i in range(0, len(starts), step):
+        ws = starts[i : i + step, None]
+        overlap = np.minimum(e, ws + width) - np.maximum(s, ws)
+        best = overlap.argmax(axis=1)
+        best_overlap = overlap.max(axis=1)
+        keep = (best_overlap > 0) & (2 * best_overlap >= width)
+        labels += names[np.where(keep, best + 1, 0)].tolist()
+    return labels
+
+
 def block_rows(
     kernel: Callable[[np.ndarray, float], np.ndarray],
     windows: Sequence[MotionWindow],

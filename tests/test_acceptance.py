@@ -16,7 +16,7 @@ from strokesense.labels import StrokeLabel
 from strokesense.metrics import ConfusionMatrix, confusion, f_measure, macro_scores
 from strokesense.mlp import loss_and_grads, mlp_forward, mlp_init, mlp_predict_batch, mlp_train
 from strokesense.pca import contribution_rates, fit_pca, transform
-from strokesense.preprocessing import ChannelSeries, newton_fill, remove_outliers
+from strokesense.preprocessing import newton_fill, remove_outliers
 from strokesense.scoring import (
     REFERENCE_AHP_MATRIX,
     REFERENCE_LEVEL_WEIGHTS,
@@ -141,8 +141,8 @@ def test_criterion_05_newton_exact_on_cubics():
             values = np.polyval(coeffs, t)
             present = np.ones(n, dtype=bool)
             present[rng.integers(2, n - 2)] = False
-            filled = newton_fill(ChannelSeries(values, t, present))
-            np.testing.assert_allclose(filled.values, values, atol=1e-9)
+            filled = newton_fill(values, t, present)
+            np.testing.assert_allclose(filled, values, atol=1e-9)
 
 
 def test_criterion_06_outlier_flags_match_oracle():
@@ -153,11 +153,11 @@ def test_criterion_06_outlier_flags_match_oracle():
             values = np.cumsum(rng.normal(size=n))
             for _ in range(int(rng.integers(0, 3))):
                 values[rng.integers(1, n)] += rng.choice([-1, 1]) * rng.uniform(20, 60)
-            cleaned = remove_outliers(ChannelSeries.from_values(values))
-            got = set(np.flatnonzero(~cleaned.present))
+            cleaned = remove_outliers(values)
+            got = set(np.flatnonzero(~cleaned))
             assert got == set(brute_outlier_flags(list(values)))
-        constant = remove_outliers(ChannelSeries.from_values(np.full(30, 2.5)))
-        assert constant.present.all()
+        constant = remove_outliers(np.full(30, 2.5))
+        assert constant.all()
 
 
 def test_criterion_07_mlp_gradient_check():

@@ -306,6 +306,34 @@ class TestEvaluate:
         assert not scores.exists()
 
 
+class TestWindowSpans:
+    @pytest.mark.parametrize("span", ["past_end", "reversed", "negative", "empty"])
+    @pytest.mark.parametrize("command", ["extract", "build-profile"])
+    def test_span_outside_series_is_data_error(self, pipeline, tmp_path, capsys, span, command):
+        rows = len((pipeline / "data.csv").read_text().splitlines()) - 2
+        start, end = {
+            "past_end": (rows - 48, rows + 152),
+            "reversed": (300, 100),
+            "negative": (-10, 190),
+            "empty": (100, 100),
+        }[span]
+        windows = tmp_path / "windows.csv"
+        windows.write_text(
+            f"start_index,end_index,label\n0,200,FOREHAND_ATTACK\n\n"
+            f"{start},{end},FOREHAND_ATTACK\n"
+        )
+        out = tmp_path / "out"
+        if command == "extract":
+            argv = ["extract", "--out", out]
+        else:
+            argv = ["evaluate", "--build-profile", out]
+        assert run(*argv, "--in", pipeline / "data.csv", "--windows", windows) == 2
+        err = capsys.readouterr().err
+        assert f"{windows} line 4: span {start},{end}" in err
+        assert f"the {rows} rows" in err
+        assert not out.exists()
+
+
 class TestConfig:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

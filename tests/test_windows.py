@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strokesense.errors import SingleClass, TooShort
 from strokesense.io import SensorSeries
@@ -11,6 +13,7 @@ from strokesense.windows import (
     MotionWindow,
     activation_features,
     is_active,
+    majority_labels,
     slide_windows,
     train_activation,
 )
@@ -126,3 +129,60 @@ class TestActivationGate:
         again = LinearSvmModel.from_dict(model.to_dict())
         np.testing.assert_array_equal(model.w, again.w)
         assert model.b == again.b and model.c == again.c
+
+
+def _loop_majority_labels(starts, width, spans):
+    """The per-window overlap loop the CLI's segment step first used."""
+    labels = []
+    for start in starts:
+        best, best_ov = "", 0
+        for s, e, lab in spans:
+            ov = max(0, min(e, start + width) - max(s, start))
+            if ov > best_ov:
+                best, best_ov = lab, ov
+        labels.append(best if best_ov * 2 >= width else "")
+    return labels
+
+
+class TestMajorityLabels:
+    @pytest.mark.parametrize(
+        "starts, spans, want",
+        [
+            # no spans
+            ([0, 100, 200], [], ["", "", ""]),
+            # a tie goes to the first span
+            ([0], [(0, 100, "A"), (100, 200, "B")], ["A"]),
+            ([0], [(100, 200, "B"), (0, 100, "A")], ["B"]),
+            # exactly half a window is enough, one sample less is not
+            ([0, 1], [(100, 300, "A")], ["A", "A"]),
+            ([0], [(101, 300, "A")], [""]),
+            # spans past either end of the series
+            ([0, 100], [(-50, 120, "A"), (150, 10_000, "B")], ["A", "B"]),
+            # a span touching the window's end does not overlap it
+            ([0], [(200, 400, "A")], [""]),
+        ],
+    )
+    def test_cases_match_loop(self, starts, spans, want):
+        assert majority_labels(starts, 200, spans) == want
+        assert _loop_majority_labels(starts, 200, spans) == want
+
+    @staticmethod
+    def _random_case(seed, n_windows, n_spans):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 40))
+        starts = np.arange(n_windows) * max(1, width // 2)
+        s = rng.integers(-50, int(starts[-1]) + 50 if n_windows else 50, n_spans)
+        lengths = rng.integers(-5, 60, n_spans)
+        spans = [(int(a), int(a + d), f"L{k % 4}") for k, (a, d) in enumerate(zip(s, lengths))]
+        return starts, width, spans
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31))
+    def test_random_spans_match_loop(self, seed):
+        n_windows, n_spans = np.random.default_rng(seed).integers((0, 0), (200, 30))
+        starts, width, spans = self._random_case(seed, n_windows, n_spans)
+        assert majority_labels(starts, width, spans) == _loop_majority_labels(starts, width, spans)
+
+    def test_many_windows_span_several_blocks(self):
+        starts, width, spans = self._random_case(0, 1500, 400)
+        assert majority_labels(starts, width, spans) == _loop_majority_labels(starts, width, spans)
