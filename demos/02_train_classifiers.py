@@ -10,7 +10,7 @@ Run: python demos/02_train_classifiers.py
 import numpy as np
 
 from strokesense.features import feature_matrix
-from strokesense.labels import LABEL_NAMES
+from strokesense.labels import StrokeLabel
 from strokesense.metrics import confusion, macro_scores
 from strokesense.mlp import mlp_init, mlp_predict_batch, mlp_train
 from strokesense.pca import contribution_rates, fit_pca, transform
@@ -61,7 +61,7 @@ print(f"mlp macro scores:         {macro_scores(mlp_m, alpha=0.7)}")
 
 # --- per-class view --------------------------------------------------------
 print("\nmlp confusion matrix (rows = truth):")
-print("              " + " ".join(f"{n[:4]:>5}" for n in LABEL_NAMES))
-for i, name in enumerate(LABEL_NAMES):
-    row = " ".join(f"{c:5d}" for c in mlp_m.counts[i])
-    print(f"{name[:13]:>13} {row}")
+print("              " + " ".join(f"{label.name[:4]:>5}" for label in StrokeLabel))
+for label in StrokeLabel:
+    row = " ".join(f"{c:5d}" for c in mlp_m.counts[label])
+    print(f"{label.name[:13]:>13} {row}")

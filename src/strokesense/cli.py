@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import StrokeSenseError
-from .features import FEATURE_NAMES, window_features
+from .features import FEATURE_NAMES, N_FEATURES, window_features
 from .io import parse_series, serialize_series
 from .labels import IDLE, StrokeLabel
 from .metrics import DEFAULT_ALPHA, classification_report, confusion, heatmap_csv
@@ -30,7 +30,7 @@ from .scoring import (
     score_window,
 )
 from .svm import DagSvmModel, dag_predict_batch, train_dagsvm
-from .synth import GenConfig, generate, truth_from_csv, truth_to_csv
+from .synth import GenConfig, generate
 from .windows import (
     DEFAULT_OVERLAP,
     DEFAULT_WIDTH,
@@ -59,54 +59,106 @@ def _summary(**kwargs):
     print(json.dumps(kwargs, sort_keys=True))
 
 
+# --- artifact formats -----------------------------------------------------
+
 def _dump_json(path, obj):
     Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
-# --- feature CSV helpers --------------------------------------------------
+def _load_json(path, convert):
+    """``convert`` of the JSON object in ``path``; a malformed file, or one
+    that ``convert`` rejects, is a data error that names the file."""
+    try:
+        obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        return convert(obj)
+    except (StrokeSenseError, ValueError, KeyError, TypeError) as exc:
+        raise StrokeSenseError(f"{path}: {exc}") from None
 
-def _write_features(path, labels, X):
-    lines = ["label," + ",".join(FEATURE_NAMES)]
-    for lab, row in zip(labels, X):
-        lines.append(lab + "," + ",".join(repr(float(v)) for v in row))
+
+def _write_csv(path, header, rows):
+    """Write a header and rows of already formatted fields."""
+    lines = [",".join(header)] + [",".join(fields) for fields in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_features(path):
-    lines = Path(path).read_text().splitlines()
-    labels, rows = [], []
-    for line in lines[1:]:
-        if not line.strip():
+def _read_csv(path, convert):
+    """``convert(fields)`` for each data row of a CSV artifact, skipping the
+    header and blank lines; a row that ``convert`` rejects is a data error
+    that names the file and line."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if lineno == 1 or not line.strip():
             continue
-        fields = line.split(",")
-        labels.append(fields[0])
-        rows.append([float(v) for v in fields[1:]])
-    return labels, np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
+        try:
+            out.append(convert(line.split(",")))
+        except (ValueError, KeyError) as exc:
+            raise StrokeSenseError(f"{path} line {lineno}: {exc}") from None
+    return out
+
+
+def _fields(fields, n):
+    if len(fields) != n:
+        raise ValueError(f"expected {n} fields, got {len(fields)}")
+    return fields
+
+
+def _write_spans(path, spans):
+    rows = ([str(s), str(e), lab] for s, e, lab in spans)
+    _write_csv(path, ["start_index", "end_index", "label"], rows)
+
+
+def _span(fields):
+    start, end, label = _fields(fields, 3)
+    return int(start), int(end), label
+
+
+def _feature_row(fields):
+    label, *values = _fields(fields, 1 + N_FEATURES)
+    return int(StrokeLabel.from_name(label)) if label else -1, [float(v) for v in values]
+
+
+def _read_features(path):
+    """Label codes (-1 for an unlabelled row) and the feature matrix."""
+    rows = _read_csv(path, _feature_row)
+    codes = np.array([code for code, _ in rows], dtype=int)
+    X = np.array([values for _, values in rows]) if rows else np.empty((0, N_FEATURES))
+    return codes, X
+
+
+def _prediction(fields):
+    true, pred = _fields(fields, 2)
+    return int(true), int(pred)
+
+
+def _classifier(payload):
+    """The DAGSVM or MLP a model file holds."""
+    kind = {"dagsvm": DagSvmModel, "mlp": MlpModel}.get(payload.get("type"))
+    if kind is None:
+        raise ValueError(f"unknown model type {payload.get('type')!r}")
+    return kind.from_dict(payload)
 
 
 def _windows_from_files(data_path, windows_path):
     """The windows a ``windows.csv`` cuts from a data CSV; every span must
     lie within the series (``0 <= start < end <= rows``)."""
     series = parse_series(Path(data_path).read_text())
-    text = Path(windows_path).read_text()
-    linenos = [k for k, line in enumerate(text.splitlines(), start=1) if k > 1 and line.strip()]
-    out = []
-    for lineno, (start, end, label) in zip(linenos, truth_from_csv(text)):
+
+    def window(fields):
+        start, end, label = _span(fields)
         if not 0 <= start < end <= len(series):
-            raise StrokeSenseError(
-                f"{windows_path} line {lineno}: span {start},{end} does not lie "
-                f"within the {len(series)} rows of {data_path}"
+            raise ValueError(
+                f"span {start},{end} does not lie within the {len(series)} rows of {data_path}"
             )
-        lab = None if label in (IDLE, "") else StrokeLabel.from_name(label)
-        out.append(
-            MotionWindow(
-                start_index=start,
-                channels=series.channels[start:end],
-                sample_period=series.sample_period,
-                label=lab,
-            )
+        return MotionWindow(
+            start_index=start,
+            channels=series.channels[start:end],
+            sample_period=series.sample_period,
+            label=None if label in (IDLE, "") else StrokeLabel.from_name(label),
         )
-    return series, out
+
+    return _read_csv(windows_path, window)
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -125,7 +177,7 @@ def _cmd_synth(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "data.csv").write_text(serialize_series(series))
-    (out / "labels.csv").write_text(truth_to_csv(truth))
+    _write_spans(out / "labels.csv", truth)
     strokes = sum(1 for _, _, lab in truth if lab != IDLE)
     _summary(command="synth", samples=len(series), strokes=strokes, out=str(out))
 
@@ -146,34 +198,31 @@ def _cmd_segment(args):
     series = parse_series(Path(args.infile).read_text())
     windows = slide_windows(series, width=args.window, overlap=args.overlap)
     if args.activation_model:
-        gate = LinearSvmModel.from_dict(json.loads(Path(args.activation_model).read_text()))
+        gate = _load_json(args.activation_model, LinearSvmModel.from_dict)
         windows = [w for w in windows if is_active(w, gate)]
     spans = []
     if args.labels:
-        spans = [
-            (s, e, lab)
-            for s, e, lab in truth_from_csv(Path(args.labels).read_text())
-            if lab != IDLE
-        ]
+        spans = [span for span in _read_csv(args.labels, _span) if span[2] != IDLE]
     starts = [w.start_index for w in windows]
     labels = majority_labels(starts, args.window, spans)
     rows = [(s, s + args.window, lab) for s, lab in zip(starts, labels)]
-    Path(args.out).write_text(truth_to_csv(rows))
+    _write_spans(args.out, rows)
     _summary(command="segment", windows=len(rows), out=args.out)
 
 
 def _cmd_extract(args):
-    _, windows = _windows_from_files(args.infile, args.windows)
+    windows = _windows_from_files(args.infile, args.windows)
     labels = [w.label.name if w.label is not None else "" for w in windows]
-    X = np.array([window_features(w) for w in windows]).reshape(len(windows), len(FEATURE_NAMES))
-    _write_features(args.out, labels, X)
+    X = np.array([window_features(w) for w in windows]).reshape(len(windows), N_FEATURES)
+    rows = ([lab, *map(repr, row)] for lab, row in zip(labels, X.tolist()))
+    _write_csv(args.out, ["label", *FEATURE_NAMES], rows)
     _summary(command="extract", windows=len(windows), features=X.shape[1], out=args.out)
 
 
 def _cmd_fit_pca(args):
     _, X = _read_features(args.infile)
     model = fit_pca(X, retention=args.retention)
-    Path(args.out).write_text(model.to_json() + "\n")
+    _dump_json(args.out, model.to_dict())
     _summary(command="fit-pca", k=model.k, retention=args.retention, out=args.out)
 
 
@@ -187,13 +236,12 @@ def _split(n, test_fraction, seed):
 
 
 def _cmd_train(args):
-    labels, X = _read_features(args.infile)
-    keep = [i for i, lab in enumerate(labels) if lab]
-    if not keep:
+    y, X = _read_features(args.infile)
+    keep = y >= 0
+    if not keep.any():
         raise StrokeSenseError("no labeled rows to train on")
-    X = X[keep]
-    y = np.array([int(StrokeLabel.from_name(labels[i])) for i in keep])
-    pca = PcaModel.from_json(Path(args.pca).read_text())
+    X, y = X[keep], y[keep]
+    pca = _load_json(args.pca, PcaModel.from_dict)
     Z = transform(pca, X)
     train_idx, test_idx = _split(len(Z), args.test_fraction, args.seed)
     if len(train_idx) == 0:
@@ -223,33 +271,26 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
-    labels, X = _read_features(args.infile)
-    pca = PcaModel.from_json(Path(args.pca).read_text())
+    y, X = _read_features(args.infile)
+    pca = _load_json(args.pca, PcaModel.from_dict)
     Z = transform(pca, X)
-    payload = json.loads(Path(args.model).read_text())
-    if payload.get("type") == "dagsvm":
-        predicted = dag_predict_batch(DagSvmModel.from_dict(payload), Z)
-    elif payload.get("type") == "mlp":
-        predicted = mlp_predict_batch(MlpModel.from_dict(payload), Z)
-    else:
-        raise StrokeSenseError(f"unknown model type {payload.get('type')!r}")
-    lines = ["true,predicted"]
-    for lab, pred in zip(labels, predicted):
-        true_code = int(StrokeLabel.from_name(lab)) if lab else -1
-        lines.append(f"{true_code},{int(pred)}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    model = _load_json(args.model, _classifier)
+    predict = dag_predict_batch if isinstance(model, DagSvmModel) else mlp_predict_batch
+    predicted = predict(model, Z)
+    rows = ([str(true), str(int(pred))] for true, pred in zip(y.tolist(), predicted))
+    _write_csv(args.out, ["true", "predicted"], rows)
     _summary(command="predict", samples=len(predicted), out=args.out)
 
 
 def _cmd_evaluate(args):
-    _, windows = _windows_from_files(args.infile, args.windows)
+    windows = _windows_from_files(args.infile, args.windows)
     if args.stroke:
         wanted = StrokeLabel.from_name(args.stroke)
         windows = [w for w in windows if w.label == wanted]
     if args.build_profile:
         windows = [w for w in windows if w.label is not None]
         profile = build_profile(windows)
-        Path(args.build_profile).write_text(profile.to_json() + "\n")
+        _dump_json(args.build_profile, profile.to_dict())
         _summary(
             command="evaluate",
             mode="build-profile",
@@ -258,17 +299,13 @@ def _cmd_evaluate(args):
             out=args.build_profile,
         )
         return
-    profile = StandardProfile.from_json(Path(args.profile).read_text())
+    profile = _load_json(args.profile, StandardProfile.from_dict)
     windows = [w for w in windows if w.label in (None, profile.stroke)]
     weights = ahp_weights(REFERENCE_AHP_MATRIX)
-    lines = ["stroke,Q1,Q2,Q3,Q4,Q5,Q"]
-    totals = []
-    for w in windows:
-        rep = score_window(w, profile, weights=weights)
-        totals.append(rep.total)
-        qs = ",".join(repr(float(q)) for q in rep.q)
-        lines.append(f"{rep.stroke.name},{qs},{rep.total!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    reports = [score_window(w, profile, weights=weights) for w in windows]
+    totals = [rep.total for rep in reports]
+    rows = ([rep.stroke.name, *map(repr, rep.q.tolist()), repr(rep.total)] for rep in reports)
+    _write_csv(args.out, ["stroke", "Q1", "Q2", "Q3", "Q4", "Q5", "Q"], rows)
     mean_q = float(np.mean(totals)) if totals else None
     _summary(command="evaluate", mode="score", windows=len(totals), mean_q=mean_q, out=args.out)
 
@@ -300,9 +337,8 @@ def _svg_heatmap(counts, path):
 
 
 def _cmd_report(args):
-    lines = Path(args.predictions).read_text().splitlines()[1:]
-    pairs = [tuple(int(v) for v in line.split(",")) for line in lines if line.strip()]
-    pairs = [(t, p) for t, p in pairs if t >= 0]  # drop unlabeled windows
+    # unlabelled windows have true code -1
+    pairs = [(t, p) for t, p in _read_csv(args.predictions, _prediction) if t >= 0]
     if not pairs:
         raise StrokeSenseError("report needs ground-truth labels in the predictions file")
     true = [t for t, _ in pairs]

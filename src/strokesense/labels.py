@@ -13,15 +13,14 @@ class StrokeLabel(IntEnum):
 
     @classmethod
     def from_name(cls, name: str) -> "StrokeLabel":
-        key = name.strip().upper()
-        return cls[key]
+        try:
+            return cls[name.strip().upper()]
+        except KeyError:
+            raise ValueError(f"unknown stroke label {name!r}") from None
 
 
 #: Number of stroke classes.
 N_CLASSES = len(StrokeLabel)
-
-#: Canonical spellings used in CSV sidecars and JSON reports.
-LABEL_NAMES = [label.name for label in StrokeLabel]
 
 #: Sentinel used for non-stroke spans in ground-truth files.
 IDLE = "IDLE"

@@ -4,7 +4,6 @@ Topology [k_in, 120, 120, 6] with tanh hidden activations and a softmax
 output; cross-entropy loss, learning rate 0.01 by default.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,9 +37,6 @@ class MlpModel:
             "biases": [b.tolist() for b in self.biases],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
         """Only tanh hidden layers exist; a model file naming another
@@ -52,11 +48,6 @@ class MlpModel:
             weights=[np.array(w, dtype=float) for w in d["weights"]],
             biases=[np.array(b, dtype=float) for b in d["biases"]],
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MlpModel":
-        return cls.from_dict(json.loads(text))
-
     def copy(self) -> "MlpModel":
         return MlpModel(
             weights=[w.copy() for w in self.weights],

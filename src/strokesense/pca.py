@@ -1,13 +1,12 @@
 """Linear dimensionality reduction with cumulative-contribution retention.
 
-Features are standardized (zero mean, unit variance) by default before the
-covariance eigendecomposition, since the engineered statistics mix units;
-pass ``standardize=False`` for plain centering.
+Features are standardized (zero mean, unit variance) before the covariance
+eigendecomposition, since the engineered statistics mix units; a constant
+feature keeps scale 1.
 """
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,7 +21,7 @@ class PcaModel:
     the full eigenvalue spectrum (descending)."""
 
     mean: np.ndarray
-    scale: Optional[np.ndarray]
+    scale: np.ndarray
     components: np.ndarray  # (k, p), orthonormal rows
     eigenvalues: np.ndarray  # all p eigenvalues, descending
     k: int
@@ -35,37 +34,28 @@ class PcaModel:
     def to_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),
-            "scale": None if self.scale is None else self.scale.tolist(),
+            "scale": self.scale.tolist(),
             "components": self.components.tolist(),
             "eigenvalues": self.eigenvalues.tolist(),
             "k": self.k,
             "retention": self.retention,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "PcaModel":
+        if d.get("scale") is None:
+            raise ValueError("PCA model has no scale vector")
         return cls(
             mean=np.array(d["mean"], dtype=float),
-            scale=None if d["scale"] is None else np.array(d["scale"], dtype=float),
+            scale=np.array(d["scale"], dtype=float),
             components=np.array(d["components"], dtype=float),
             eigenvalues=np.array(d["eigenvalues"], dtype=float),
             k=int(d["k"]),
             retention=float(d["retention"]),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "PcaModel":
-        return cls.from_dict(json.loads(text))
 
-
-def fit_pca(
-    X: np.ndarray,
-    retention: float = DEFAULT_RETENTION,
-    standardize: bool = True,
-) -> PcaModel:
+def fit_pca(X: np.ndarray, retention: float = DEFAULT_RETENTION) -> PcaModel:
     """Fit the reduction on an (m, p) feature matrix.
 
     The retained count k is the smallest i whose cumulative contribution
@@ -81,12 +71,9 @@ def fit_pca(
         raise ValueError(f"retention must lie in (0, 1], got {retention}")
 
     mean = X.mean(axis=0)
-    scale = None
-    Xc = X - mean
-    if standardize:
-        scale = X.std(axis=0)
-        scale[scale < 1e-12] = 1.0
-        Xc = Xc / scale
+    scale = X.std(axis=0)
+    scale[scale < 1e-12] = 1.0
+    Xc = (X - mean) / scale
 
     cov = Xc.T @ Xc / (X.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -124,10 +111,7 @@ def transform(model: PcaModel, f: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {model.n_features} features, got {f.shape[-1]}"
         )
-    centered = f - model.mean
-    if model.scale is not None:
-        centered = centered / model.scale
-    return centered @ model.components.T
+    return ((f - model.mean) / model.scale) @ model.components.T
 
 
 def contribution_rates(model: PcaModel) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,6 @@ indicators (strength, velocity) score ``1 - 1 / (1 + exp((x - center) /
 the distance to the band.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -196,9 +195,6 @@ class StandardProfile:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "StandardProfile":
         specs = d["indicators"]
@@ -209,11 +205,6 @@ class StandardProfile:
             StrokeLabel.from_name(d["stroke"]),
             *([spec[name] for spec in specs] for name in _STATS),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StandardProfile":
-        return cls.from_dict(json.loads(text))
-
 
 def build_profile(reference_windows: Sequence[MotionWindow]) -> StandardProfile:
     """Pool per-window indicator values over a reference set.

@@ -177,18 +177,3 @@ def stroke_windows(
         )
     return out
 
-
-def truth_to_csv(truth: List[Tuple[int, int, str]]) -> str:
-    lines = ["start_index,end_index,label"]
-    lines += [f"{s},{e},{label}" for s, e, label in truth]
-    return "\n".join(lines) + "\n"
-
-
-def truth_from_csv(text: str) -> List[Tuple[int, int, str]]:
-    out = []
-    for line in text.splitlines()[1:]:
-        if not line.strip():
-            continue
-        s, e, label = line.split(",")
-        out.append((int(s), int(e), label))
-    return out

@@ -4,12 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strokesense.cli import build_parser, main
+from strokesense.cli import _read_csv, _span, _write_spans, build_parser, main
 from strokesense.metrics import DEFAULT_ALPHA
 from strokesense.mlp import DEFAULT_EPOCHS, DEFAULT_LR
 from strokesense.pca import DEFAULT_RETENTION
 from strokesense.preprocessing import DEFAULT_K0
-from strokesense.synth import GenConfig
+from strokesense.synth import GenConfig, generate
 from strokesense.windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, LinearSvmModel
 
 
@@ -307,6 +307,13 @@ class TestEvaluate:
 
 
 class TestWindowSpans:
+    def test_csv_round_trip(self, tmp_path):
+        _, truth = generate(GenConfig(seed=6, strokes_per_class=2))
+        path = tmp_path / "labels.csv"
+        _write_spans(path, truth)
+        assert path.read_text().splitlines()[0] == "start_index,end_index,label"
+        assert _read_csv(path, _span) == truth
+
     @pytest.mark.parametrize("span", ["past_end", "reversed", "negative", "empty"])
     @pytest.mark.parametrize("command", ["extract", "build-profile"])
     def test_span_outside_series_is_data_error(self, pipeline, tmp_path, capsys, span, command):
@@ -332,6 +339,121 @@ class TestWindowSpans:
         assert f"{windows} line 4: span {start},{end}" in err
         assert f"the {rows} rows" in err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def artifacts(pipeline, tmp_path_factory):
+    """Every artifact the CLI reads, from the ``pipeline`` chain onwards."""
+    d = tmp_path_factory.mktemp("artifacts")
+    for name in ("data.csv", "labels.csv", "windows.csv", "features.csv", "pca.json"):
+        (d / name).write_bytes((pipeline / name).read_bytes())
+    assert run("train", "--in", d / "features.csv", "--pca", d / "pca.json",
+               "--out", d / "model.json") == 0
+    assert run("predict", "--in", d / "features.csv", "--pca", d / "pca.json",
+               "--model", d / "model.json", "--out", d / "predictions.csv") == 0
+    assert run("evaluate", "--in", d / "data.csv", "--windows", d / "windows.csv",
+               "--stroke", "FOREHAND_ATTACK", "--build-profile", d / "profile.json") == 0
+    (d / "gate.json").write_text(json.dumps(LinearSvmModel(w=np.ones(6), b=0.0, c=1.0).to_dict()))
+    return d
+
+
+def _replace_field(k, value):
+    def edit(line):
+        fields = line.split(",")
+        fields[k] = value
+        return ",".join(fields)
+    return edit
+
+
+#: id: (artifact, line, edit of that line, what the error names, command);
+#: ``BAD`` stands for the corrupted artifact, ``OUT`` for the output.
+_CSV_CASES = {
+    "labels-short-row": ("labels.csv", 3, lambda _: "0,200", "expected 3 fields, got 2",
+                         ["segment", "--in", "data.csv", "--labels", "BAD", "--out", "OUT"]),
+    "windows-bad-label": ("windows.csv", 3, lambda _: "0,200,FOREHAND", "'FOREHAND'",
+                          ["extract", "--in", "data.csv", "--windows", "BAD", "--out", "OUT"]),
+    "features-bad-float": ("features.csv", 3, _replace_field(1, "1x5"), "'1x5'",
+                           ["fit-pca", "--in", "BAD", "--out", "OUT"]),
+    "features-short-row": ("features.csv", 4, lambda line: line.rsplit(",", 1)[0],
+                           "expected 181 fields, got 180",
+                           ["fit-pca", "--in", "BAD", "--out", "OUT"]),
+    "features-bad-label-train": ("features.csv", 3, _replace_field(0, "BOGUS"), "'BOGUS'",
+                                 ["train", "--in", "BAD", "--pca", "pca.json", "--out", "OUT"]),
+    "features-bad-label-predict": ("features.csv", 5, _replace_field(0, "BOGUS"), "'BOGUS'",
+                                   ["predict", "--in", "BAD", "--pca", "pca.json",
+                                    "--model", "model.json", "--out", "OUT"]),
+    "predictions-bad-int": ("predictions.csv", 3, lambda _: "3,x", "'x'",
+                            ["report", "--predictions", "BAD", "--out", "OUT"]),
+    "predictions-short-row": ("predictions.csv", 2, lambda _: "3", "expected 2 fields, got 1",
+                              ["report", "--predictions", "BAD", "--out", "OUT"]),
+}
+
+_JSON_CASES = {
+    "pca": ("pca.json", ["train", "--in", "features.csv", "--pca", "BAD", "--out", "OUT"]),
+    "model": ("model.json", ["predict", "--in", "features.csv", "--pca", "pca.json",
+                             "--model", "BAD", "--out", "OUT"]),
+    "profile": ("profile.json", ["evaluate", "--in", "data.csv", "--windows", "windows.csv",
+                                 "--profile", "BAD", "--out", "OUT"]),
+    "gate": ("gate.json", ["segment", "--in", "data.csv", "--activation-model", "BAD",
+                           "--out", "OUT"]),
+}
+
+
+class TestMalformedArtifacts:
+    @staticmethod
+    def _run(artifacts, tmp_path, bad, argv):
+        names = {"BAD": bad, "OUT": tmp_path / "out"}
+        code = run(*(names.get(a) or (artifacts / a if "." in a else a) for a in argv))
+        assert not (tmp_path / "out").exists()
+        return code
+
+    @pytest.mark.parametrize("case", list(_CSV_CASES))
+    def test_csv_error_names_file_and_line(self, artifacts, tmp_path, capsys, case):
+        name, lineno, edit, reason, argv = _CSV_CASES[case]
+        lines = (artifacts / name).read_text().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        assert self._run(artifacts, tmp_path, bad, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} line {lineno}: ")
+        assert reason in err
+
+    @pytest.mark.parametrize("case", list(_JSON_CASES))
+    def test_truncated_json_names_file(self, artifacts, tmp_path, capsys, case):
+        name, argv = _JSON_CASES[case]
+        text = (artifacts / name).read_text()
+        bad = tmp_path / name
+        bad.write_text(text[: len(text) // 2])
+        assert self._run(artifacts, tmp_path, bad, argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("case", list(_JSON_CASES))
+    @pytest.mark.parametrize("body", ["[1, 2]", '{"type": "mlp", "weights": 3}'],
+                             ids=["list", "wrong-field-type"])
+    def test_misshapen_json_names_file(self, artifacts, tmp_path, capsys, case, body):
+        name, argv = _JSON_CASES[case]
+        bad = tmp_path / name
+        bad.write_text(body)
+        assert self._run(artifacts, tmp_path, bad, argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_degenerate_profile_names_file(self, artifacts, tmp_path, capsys):
+        body = json.loads((artifacts / "profile.json").read_text())
+        for spec in body["indicators"]:
+            spec["up"] = spec["down"]
+        bad = tmp_path / "profile.json"
+        bad.write_text(json.dumps(body))
+        argv = _JSON_CASES["profile"][1]
+        assert self._run(artifacts, tmp_path, bad, argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: up - down collapsed")
+
+    def test_unknown_stroke_names_label(self, artifacts, tmp_path, capsys):
+        assert run("evaluate", "--in", artifacts / "data.csv", "--windows",
+                   artifacts / "windows.csv", "--stroke", "BOGUS",
+                   "--build-profile", tmp_path / "out") == 2
+        assert "unknown stroke label 'BOGUS'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,7 @@ class TestTraining:
 class TestSerialization:
     def test_round_trip(self):
         model = _tiny_model(seed=13)
-        again = MlpModel.from_json(model.to_json())
+        again = MlpModel.from_dict(json.loads(json.dumps(model.to_dict())))
         x = np.arange(4.0)
         np.testing.assert_array_equal(mlp_forward(model, x), mlp_forward(again, x))
         assert mlp_predict(model, x) == mlp_predict(again, x)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from oracles import jacobi_eigh
 
 class TestFitPca:
     def test_rank_one_line(self):
+        """``[x, 2x]`` standardizes to two equal columns."""
         rng = np.random.default_rng(2)
         x = rng.normal(size=60)
         X = np.column_stack([x, 2.0 * x])
-        model = fit_pca(X, retention=0.95, standardize=False)
+        model = fit_pca(X, retention=0.95)
         assert model.k == 1
         np.testing.assert_allclose(
-            model.components[0], np.array([1.0, 2.0]) / np.sqrt(5.0), atol=1e-12
+            model.components[0], np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-12
         )
         np.testing.assert_allclose(model.eigenvalues[1], 0.0, atol=1e-10)
 
@@ -61,17 +64,19 @@ class TestFitPca:
     def test_isotropic_contributions(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(5000, 4))
-        model = fit_pca(X, retention=1.0, standardize=False)
+        model = fit_pca(X, retention=1.0)
         np.testing.assert_allclose(contribution_rates(model)[0], 0.25, atol=0.02)
 
     def test_reconstruction_error_equals_discarded_variance(self):
+        """In standardized space, the squared reconstruction error is the
+        discarded variance."""
         rng = np.random.default_rng(6)
         base = rng.normal(size=(300, 3)) @ rng.normal(size=(3, 8))
         X = base + 0.1 * rng.normal(size=(300, 8))
-        model = fit_pca(X, retention=0.9, standardize=False)
+        model = fit_pca(X, retention=0.9)
         Z = transform(model, X)
-        recon = Z @ model.components + model.mean
-        centered = X - model.mean
+        recon = (Z @ model.components) * model.scale + model.mean
+        centered = (X - model.mean) / model.scale
         resid = centered - (Z @ model.components)
         mse = np.sum(resid**2) / (X.shape[0] - 1)
         discarded = np.sum(model.eigenvalues[model.k :])
@@ -105,7 +110,7 @@ class TestTransform:
     def test_transformed_variances_match_eigenvalues(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(400, 6)) * np.array([5, 4, 3, 2, 1, 0.5])
-        model = fit_pca(X, retention=1.0, standardize=False)
+        model = fit_pca(X, retention=1.0)
         Z = transform(model, X)
         var = np.sum((Z - Z.mean(axis=0)) ** 2, axis=0) / (X.shape[0] - 1)
         np.testing.assert_allclose(var, model.eigenvalues[: model.k], rtol=1e-8)
@@ -115,10 +120,20 @@ class TestSerialization:
     def test_round_trip(self, small_features):
         X, _ = small_features
         model = fit_pca(X)
-        again = PcaModel.from_json(model.to_json())
+        again = PcaModel.from_dict(json.loads(json.dumps(model.to_dict())))
         np.testing.assert_array_equal(model.components, again.components)
         np.testing.assert_array_equal(model.mean, again.mean)
         np.testing.assert_array_equal(model.scale, again.scale)
         np.testing.assert_array_equal(model.eigenvalues, again.eigenvalues)
         assert model.k == again.k and model.retention == again.retention
         np.testing.assert_array_equal(transform(model, X), transform(again, X))
+
+    @pytest.mark.parametrize("scale", [None, "missing"])
+    def test_model_without_scale_rejected(self, small_features, scale):
+        body = fit_pca(small_features[0]).to_dict()
+        if scale is None:
+            body["scale"] = None
+        else:
+            del body["scale"]
+        with pytest.raises(ValueError, match="scale"):
+            PcaModel.from_dict(body)

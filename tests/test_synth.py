@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strokesense.errors import BadConfig
-from strokesense.labels import IDLE, LABEL_NAMES, StrokeLabel
+from strokesense.labels import IDLE, StrokeLabel
 from strokesense.synth import (
     CLASS_TEMPLATES,
     GRAVITY,
@@ -10,8 +10,6 @@ from strokesense.synth import (
     class_template,
     generate,
     stroke_windows,
-    truth_from_csv,
-    truth_to_csv,
 )
 
 
@@ -63,8 +61,8 @@ class TestGenerate:
 
     def test_stroke_counts(self):
         series, truth = generate(GenConfig(seed=5, strokes_per_class=4))
-        for name in LABEL_NAMES:
-            assert sum(1 for _, _, lab in truth if lab == name) == 4
+        for label in StrokeLabel:
+            assert sum(1 for _, _, lab in truth if lab == label.name) == 4
 
     def test_idle_fraction_roughly_respected(self):
         series, truth = generate(
@@ -116,12 +114,3 @@ def test_bad_period_rejected(field, value):
     with pytest.raises(BadConfig):
         GenConfig(**{field: value})
 
-
-class TestTruthCsv:
-    def test_round_trip(self):
-        _, truth = generate(GenConfig(seed=6, strokes_per_class=2))
-        assert truth_from_csv(truth_to_csv(truth)) == truth
-
-    def test_header(self):
-        text = truth_to_csv([(0, 10, "IDLE")])
-        assert text.splitlines()[0] == "start_index,end_index,label"
