@@ -5,7 +5,7 @@ from .features import FEATURE_NAMES, channel_stats, feature_matrix, window_featu
 from .io import SensorSeries, parse_series, serialize_series, validate_series
 from .labels import IDLE, StrokeLabel
 from .metrics import ConfusionMatrix, classification_report, confusion, f_measure, precision_recall
-from .mlp import MlpModel, mlp_forward, mlp_init, mlp_predict, mlp_train
+from .mlp import MlpModel, mlp_forward, mlp_init, mlp_train
 from .pca import PcaModel, contribution_rates, fit_pca, transform
 from .preprocessing import (
     adaptive_filter,

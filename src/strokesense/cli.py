@@ -34,9 +34,7 @@ from .synth import GenConfig, generate
 from .windows import (
     DEFAULT_OVERLAP,
     DEFAULT_WIDTH,
-    LinearSvmModel,
     MotionWindow,
-    is_active,
     majority_labels,
     slide_windows,
 )
@@ -142,14 +140,16 @@ def _classifier(payload):
 
 def _windows_from_files(data_path, windows_path):
     """The windows a ``windows.csv`` cuts from a data CSV; every span must
-    lie within the series (``0 <= start < end <= rows``)."""
+    be at least 2 rows of the series (``0 <= start``, ``start + 2 <= end
+    <= rows``)."""
     series = parse_series(Path(data_path).read_text())
 
     def window(fields):
         start, end, label = _span(fields)
-        if not 0 <= start < end <= len(series):
+        if not (0 <= start and start + 2 <= end <= len(series)):
             raise ValueError(
-                f"span {start},{end} does not lie within the {len(series)} rows of {data_path}"
+                f"span {start},{end} is not a run of at least 2 of the "
+                f"{len(series)} rows of {data_path}"
             )
         return MotionWindow(
             start_index=start,
@@ -197,9 +197,6 @@ def _cmd_preprocess(args):
 def _cmd_segment(args):
     series = parse_series(Path(args.infile).read_text())
     windows = slide_windows(series, width=args.window, overlap=args.overlap)
-    if args.activation_model:
-        gate = _load_json(args.activation_model, LinearSvmModel.from_dict)
-        windows = [w for w in windows if is_active(w, gate)]
     spans = []
     if args.labels:
         spans = [span for span in _read_csv(args.labels, _span) if span[2] != IDLE]
@@ -389,11 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-a", type=float, default=None)
     p.set_defaults(func=_cmd_preprocess)
 
-    p = sub.add_parser("segment", help="cut sliding windows, optionally gated")
+    p = sub.add_parser("segment", help="cut sliding windows")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--labels", help="ground-truth labels CSV for window labeling")
-    p.add_argument("--activation-model", help="linear gate model JSON")
     p.add_argument("--window", type=int, default=DEFAULT_WIDTH)
     p.add_argument("--overlap", type=float, default=DEFAULT_OVERLAP)
     p.set_defaults(func=_cmd_segment)

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .labels import N_CLASSES, StrokeLabel
+from .labels import N_CLASSES
 
 DEFAULT_HIDDEN = (120, 120)
 DEFAULT_LR = 0.01
@@ -40,14 +40,25 @@ class MlpModel:
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
         """Only tanh hidden layers exist; a model file naming another
-        activation is rejected with ValueError."""
+        activation, or whose layer shapes do not chain, is rejected with
+        ValueError."""
         activation = d.get("activation", "tanh")
         if activation != "tanh":
             raise ValueError(f"unsupported activation {activation!r}; only tanh exists")
-        return cls(
-            weights=[np.array(w, dtype=float) for w in d["weights"]],
-            biases=[np.array(b, dtype=float) for b in d["biases"]],
-        )
+        weights = [np.array(w, dtype=float) for w in d["weights"]]
+        biases = [np.array(b, dtype=float) for b in d["biases"]]
+        if not weights or len(biases) != len(weights):
+            raise ValueError(
+                f"need one bias per layer, got {len(weights)} layers, {len(biases)} biases"
+            )
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            chained = layer == 0 or w.shape[:1] == biases[layer - 1].shape
+            if w.ndim != 2 or b.shape != w.shape[1:] or not chained:
+                raise ValueError(
+                    f"layer {layer}: weights {w.shape} and biases {b.shape} do not chain"
+                )
+        return cls(weights=weights, biases=biases)
+
     def copy(self) -> "MlpModel":
         return MlpModel(
             weights=[w.copy() for w in self.weights],
@@ -169,11 +180,7 @@ def mlp_train(
     return trained
 
 
-def mlp_predict(model: MlpModel, x: np.ndarray) -> StrokeLabel:
-    """Argmax class; ties break toward the lowest code."""
-    return StrokeLabel(int(np.argmax(mlp_forward(model, x))))
-
-
 def mlp_predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Argmax class code per row; ties break toward the lowest code."""
     probs = mlp_forward(model, np.atleast_2d(X))
     return probs.argmax(axis=1)

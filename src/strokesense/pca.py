@@ -43,9 +43,11 @@ class PcaModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcaModel":
+        """Rejects with ValueError a model without a scale vector, or whose
+        components are not (k, p) for p means, scales and eigenvalues."""
         if d.get("scale") is None:
             raise ValueError("PCA model has no scale vector")
-        return cls(
+        model = cls(
             mean=np.array(d["mean"], dtype=float),
             scale=np.array(d["scale"], dtype=float),
             components=np.array(d["components"], dtype=float),
@@ -53,6 +55,17 @@ class PcaModel:
             k=int(d["k"]),
             retention=float(d["retention"]),
         )
+        vectors = (model.mean, model.scale, model.eigenvalues)
+        if model.mean.ndim != 1 or any(v.shape != model.mean.shape for v in vectors):
+            raise ValueError(
+                f"mean, scale and eigenvalues need one (p,) shape, got {[v.shape for v in vectors]}"
+            )
+        if model.components.shape != (model.k, model.n_features):
+            raise ValueError(
+                f"components need shape ({model.k}, {model.n_features}), "
+                f"got {model.components.shape}"
+            )
+        return model
 
 
 def fit_pca(X: np.ndarray, retention: float = DEFAULT_RETENTION) -> PcaModel:

@@ -290,15 +290,6 @@ class ScoreReport:
     stroke: StrokeLabel
     q: np.ndarray
     total: float
-    weights: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "stroke": self.stroke.name,
-            "q": self.q.tolist(),
-            "total": self.total,
-            "weights": self.weights.tolist(),
-        }
 
 
 def score_window(
@@ -310,9 +301,4 @@ def score_window(
     if weights is None:
         weights = ahp_weights(REFERENCE_AHP_MATRIX)
     q = level_scores(window, profile)
-    return ScoreReport(
-        stroke=profile.stroke,
-        q=q,
-        total=total_score(q, weights),
-        weights=np.asarray(weights, dtype=float),
-    )
+    return ScoreReport(stroke=profile.stroke, q=q, total=total_score(q, weights))

@@ -10,6 +10,7 @@ six classes take exactly five evaluations).
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,7 +129,9 @@ class KernelSvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSvmModel":
-        return cls(
+        """Rejects with ValueError a model with one coefficient too many or
+        too few for its support vectors."""
+        model = cls(
             support_vectors=np.array(d["support_vectors"], dtype=float),
             coef=np.array(d["coef"], dtype=float),
             b=float(d["b"]),
@@ -136,6 +139,12 @@ class KernelSvmModel:
             c=float(d["c"]),
             class_pair=(int(d["class_pair"][0]), int(d["class_pair"][1])),
         )
+        if model.coef.shape != model.support_vectors.shape[:1]:
+            raise ValueError(
+                f"pair {model.class_pair}: {len(model.support_vectors)} support vectors "
+                f"need as many coef values, got shape {model.coef.shape}"
+            )
+        return model
 
 
 def train_pairwise_svm(
@@ -175,16 +184,26 @@ def train_pairwise_svm(
 
 @dataclass
 class DagSvmModel:
-    """All 15 pairwise models plus the candidate elimination order."""
+    """All 15 pairwise models plus the candidate elimination order.
+
+    ``models`` is keyed by exactly the unordered pairs ``(a, b)``, a < b, of
+    ``class_order``, and each model's ``class_pair`` is its key (ValueError
+    otherwise)."""
 
     models: Dict[Tuple[int, int], KernelSvmModel]
     class_order: List[int] = field(default_factory=lambda: list(range(6)))
 
     def __post_init__(self):
-        n = len(self.class_order)
-        expected = n * (n - 1) // 2
-        if len(self.models) != expected:
-            raise ValueError(f"need {expected} pairwise models, got {len(self.models)}")
+        expected = set(combinations(sorted(self.class_order), 2))
+        if set(self.models) != expected:
+            odd = sorted(set(self.models) ^ expected)
+            raise ValueError(
+                f"need one pairwise model per pair of classes {self.class_order}; "
+                f"pairs {odd} are missing or extra"
+            )
+        for pair, model in self.models.items():
+            if model.class_pair != pair:
+                raise ValueError(f"model under pair {pair} separates {model.class_pair}")
 
     def to_dict(self) -> dict:
         return {

@@ -27,14 +27,8 @@ DEFAULT_OVERLAP = 0.5
 #: grow with the number of windows.
 _BLOCK = 32
 
-ACTIVATION_FEATURE_NAMES = [
-    "acc_mag_mean",
-    "acc_mag_var",
-    "acc_mag_pv",
-    "gyro_mag_mean",
-    "gyro_mag_var",
-    "gyro_mag_pv",
-]
+#: Soft-margin penalty of the activation gate's SVM.
+GATE_C = 1.0
 
 
 @dataclass
@@ -75,6 +69,8 @@ def slide_windows(
 ) -> List[MotionWindow]:
     """Cut the series into fixed windows; the trailing partial window is
     dropped.  stride = width * (1 - overlap)."""
+    if width < 2:
+        raise ValueError(f"window width must be at least 2, got {width}")
     if not 0 <= overlap < 1:
         raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
     n = len(series)
@@ -152,7 +148,7 @@ def activation_matrix(windows: Sequence[MotionWindow]) -> np.ndarray:
     """Six activation markers per window, (m, 6): mean, variance and
     peak-valley of the resultant acceleration and resultant angular-rate
     magnitudes."""
-    return block_rows(_activation_block, windows, len(ACTIVATION_FEATURE_NAMES))
+    return block_rows(_activation_block, windows, 6)
 
 
 def activation_features(window: MotionWindow) -> np.ndarray:
@@ -166,34 +162,12 @@ class LinearSvmModel:
 
     w: np.ndarray
     b: float
-    c: float
-    feature_names: Tuple[str, ...] = tuple(ACTIVATION_FEATURE_NAMES)
 
     def decision(self, features: np.ndarray) -> float:
         return float(np.dot(self.w, features) + self.b)
 
-    def to_dict(self) -> dict:
-        return {
-            "w": self.w.tolist(),
-            "b": self.b,
-            "c": self.c,
-            "feature_names": list(self.feature_names),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearSvmModel":
-        return cls(
-            w=np.array(d["w"], dtype=float),
-            b=float(d["b"]),
-            c=float(d["c"]),
-            feature_names=tuple(d["feature_names"]),
-        )
-
-
-def train_activation(
-    labeled: Sequence[Tuple[MotionWindow, bool]],
-    c: float = 1.0,
-) -> LinearSvmModel:
+def train_activation(labeled: Sequence[Tuple[MotionWindow, bool]]) -> LinearSvmModel:
     """Fit the linear activation SVM from (window, active?) pairs.
 
     Features are standardized internally; the returned w/b act on raw
@@ -208,12 +182,12 @@ def train_activation(
     sd[sd < 1e-12] = 1.0
     Z = (X - mu) / sd
     K = Z @ Z.T
-    alphas, b = smo_solve(K, y, c)
+    alphas, b = smo_solve(K, y, GATE_C)
     wz = (alphas * y) @ Z
     # fold the standardization back into raw-feature space
     w = wz / sd
     b_raw = b - float(np.dot(wz, mu / sd))
-    return LinearSvmModel(w=w, b=b_raw, c=c)
+    return LinearSvmModel(w=w, b=b_raw)
 
 
 def is_active(window: MotionWindow, model: LinearSvmModel) -> bool:

@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from strokesense.cli import _read_csv, _span, _write_spans, build_parser, main
@@ -10,7 +9,7 @@ from strokesense.mlp import DEFAULT_EPOCHS, DEFAULT_LR
 from strokesense.pca import DEFAULT_RETENTION
 from strokesense.preprocessing import DEFAULT_K0
 from strokesense.synth import GenConfig, generate
-from strokesense.windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, LinearSvmModel
+from strokesense.windows import DEFAULT_OVERLAP, DEFAULT_WIDTH
 
 
 def run(*args):
@@ -96,12 +95,21 @@ class TestExitCodes:
             ["preprocess", "--in", "a", "--out", "b", "--no-outlier"],
             ["fit-pca", "--in", "a", "--out", "b", "--no-standardize"],
             ["evaluate", "--in", "a", "--windows", "w", "--profile", "p", "--json-out", "j"],
+            ["segment", "--in", "a", "--out", "b", "--activation-model", "g.json"],
         ],
-        ids=["no-filter", "no-outlier", "no-standardize", "json-out"],
+        ids=["no-filter", "no-outlier", "no-standardize", "json-out", "activation-model"],
     )
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         assert run(*argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", [1, 0, -5])
+    def test_window_narrower_than_two_rows_is_data_error(self, pipeline, tmp_path, capsys, width):
+        out = tmp_path / "windows.csv"
+        assert run("segment", "--in", pipeline / "data.csv", "--window", width,
+                   "--overlap", 0, "--out", out) == 2
+        assert f"window width must be at least 2, got {width}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynth:
@@ -237,15 +245,12 @@ class TestTrainPredictReport:
         assert "error:" in capsys.readouterr().err
         assert not model.exists()
 
-    def test_gate_keeping_no_window(self, pipeline, tmp_path, capsys):
-        """segment -> extract -> predict on a session the gate rejects
-        whole: empty artifacts, exit 0."""
-        gate = tmp_path / "gate.json"
-        gate.write_text(json.dumps(LinearSvmModel(w=np.zeros(6), b=-1.0, c=1.0).to_dict()))
+    def test_no_windows(self, pipeline, tmp_path, capsys):
+        """extract -> predict on a header-only windows.csv: empty
+        artifacts, exit 0."""
         windows, features = tmp_path / "windows.csv", tmp_path / "features.csv"
         model, preds = tmp_path / "mlp.json", tmp_path / "preds.csv"
-        assert run("segment", "--in", pipeline / "data.csv", "--activation-model", gate,
-                   "--out", windows) == 0
+        windows.write_text("start_index,end_index,label\n")
         assert run("extract", "--in", pipeline / "data.csv", "--windows", windows,
                    "--out", features) == 0
         assert run("train", "--in", pipeline / "features.csv", "--pca", pipeline / "pca.json",
@@ -253,7 +258,7 @@ class TestTrainPredictReport:
         assert run("predict", "--in", features, "--pca", pipeline / "pca.json",
                    "--model", model, "--out", preds) == 0
         summary = {s["command"]: s for s in map(json.loads, capsys.readouterr().out.splitlines())}
-        assert summary["segment"]["windows"] == summary["extract"]["windows"] == 0
+        assert summary["extract"]["windows"] == 0
         assert summary["predict"]["samples"] == 0
         assert preds.read_text() == "true,predicted\n"
 
@@ -314,7 +319,7 @@ class TestWindowSpans:
         assert path.read_text().splitlines()[0] == "start_index,end_index,label"
         assert _read_csv(path, _span) == truth
 
-    @pytest.mark.parametrize("span", ["past_end", "reversed", "negative", "empty"])
+    @pytest.mark.parametrize("span", ["past_end", "reversed", "negative", "empty", "one_row"])
     @pytest.mark.parametrize("command", ["extract", "build-profile"])
     def test_span_outside_series_is_data_error(self, pipeline, tmp_path, capsys, span, command):
         rows = len((pipeline / "data.csv").read_text().splitlines()) - 2
@@ -323,6 +328,7 @@ class TestWindowSpans:
             "reversed": (300, 100),
             "negative": (-10, 190),
             "empty": (100, 100),
+            "one_row": (100, 101),
         }[span]
         windows = tmp_path / "windows.csv"
         windows.write_text(
@@ -349,11 +355,12 @@ def artifacts(pipeline, tmp_path_factory):
         (d / name).write_bytes((pipeline / name).read_bytes())
     assert run("train", "--in", d / "features.csv", "--pca", d / "pca.json",
                "--out", d / "model.json") == 0
+    assert run("train", "--in", d / "features.csv", "--pca", d / "pca.json",
+               "--out", d / "mlp.json", "--model", "mlp", "--epochs", 2) == 0
     assert run("predict", "--in", d / "features.csv", "--pca", d / "pca.json",
                "--model", d / "model.json", "--out", d / "predictions.csv") == 0
     assert run("evaluate", "--in", d / "data.csv", "--windows", d / "windows.csv",
                "--stroke", "FOREHAND_ATTACK", "--build-profile", d / "profile.json") == 0
-    (d / "gate.json").write_text(json.dumps(LinearSvmModel(w=np.ones(6), b=0.0, c=1.0).to_dict()))
     return d
 
 
@@ -394,8 +401,23 @@ _JSON_CASES = {
                              "--model", "BAD", "--out", "OUT"]),
     "profile": ("profile.json", ["evaluate", "--in", "data.csv", "--windows", "windows.csv",
                                  "--profile", "BAD", "--out", "OUT"]),
-    "gate": ("gate.json", ["segment", "--in", "data.csv", "--activation-model", "BAD",
-                           "--out", "OUT"]),
+}
+
+_PREDICT = _JSON_CASES["model"][1]
+
+#: id: (artifact, edit of its JSON object, what the error names, command);
+#: each edit keeps the file valid JSON but makes its shapes disagree.
+_SHAPE_CASES = {
+    "pca-component-column": ("pca.json",
+                             lambda d: d.update(components=[r[:-1] for r in d["components"]]),
+                             "components",
+                             ["train", "--in", "features.csv", "--pca", "BAD", "--out", "OUT"]),
+    "mlp-bias": ("mlp.json", lambda d: d["biases"].__setitem__(0, d["biases"][0][:-1]),
+                 "biases", _PREDICT),
+    "dagsvm-coef": ("model.json", lambda d: d["models"][0].update(coef=d["models"][0]["coef"][:-1]),
+                    "coef", _PREDICT),
+    "dagsvm-class-pair": ("model.json", lambda d: d["models"][0].update(class_pair=[0, 9]),
+                          "(0, 9)", _PREDICT),
 }
 
 
@@ -437,6 +459,18 @@ class TestMalformedArtifacts:
         bad.write_text(body)
         assert self._run(artifacts, tmp_path, bad, argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("case", list(_SHAPE_CASES))
+    def test_inconsistent_shapes_name_file(self, artifacts, tmp_path, capsys, case):
+        name, edit, reason, argv = _SHAPE_CASES[case]
+        body = json.loads((artifacts / name).read_text())
+        edit(body)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(body))
+        assert self._run(artifacts, tmp_path, bad, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert reason in err
 
     def test_degenerate_profile_names_file(self, artifacts, tmp_path, capsys):
         body = json.loads((artifacts / "profile.json").read_text())

@@ -9,7 +9,6 @@ from strokesense.mlp import (
     loss_and_grads,
     mlp_forward,
     mlp_init,
-    mlp_predict,
     mlp_predict_batch,
     mlp_train,
 )
@@ -165,11 +164,18 @@ class TestSerialization:
         again = MlpModel.from_dict(json.loads(json.dumps(model.to_dict())))
         x = np.arange(4.0)
         np.testing.assert_array_equal(mlp_forward(model, x), mlp_forward(again, x))
-        assert mlp_predict(model, x) == mlp_predict(again, x)
+        assert mlp_predict_batch(model, x) == mlp_predict_batch(again, x)
 
     def test_activation_is_tanh_only(self):
         body = _tiny_model().to_dict()
         assert body["activation"] == "tanh"
         body["activation"] = "relu"
         with pytest.raises(ValueError, match="relu"):
+            MlpModel.from_dict(body)
+
+    @pytest.mark.parametrize("name, layer", [("biases", 0), ("weights", 1)])
+    def test_layer_shapes_must_chain(self, name, layer):
+        body = _tiny_model().to_dict()
+        body[name][layer] = body[name][layer][:-1]
+        with pytest.raises(ValueError, match=f"layer {layer}: .* do not chain"):
             MlpModel.from_dict(body)

@@ -265,8 +265,6 @@ class TestProfiles:
         assert report.q.shape == (5,)
         assert ((report.q >= 0) & (report.q <= 1)).all()
         assert 0.0 <= report.total <= 1.0
-        d = report.to_dict()
-        assert set(d) == {"stroke", "q", "total", "weights"}
 
 
 def _faulty(seed):

@@ -218,3 +218,9 @@ class TestDag:
         models.pop((0, 1))
         with pytest.raises(ValueError):
             DagSvmModel(models=models)
+
+    def test_each_model_sits_under_its_pair(self):
+        models = dict(_unanimous_dag(0).models)
+        models[(0, 1)], models[(0, 2)] = models[(0, 2)], models[(0, 1)]
+        with pytest.raises(ValueError, match="separates"):
+            DagSvmModel(models=models)

@@ -121,14 +121,8 @@ class TestActivationGate:
         assert correct / len(held_out) >= 0.98
 
     def test_boundary_is_inactive(self):
-        model = LinearSvmModel(w=np.zeros(6), b=0.0, c=1.0)
+        model = LinearSvmModel(w=np.zeros(6), b=0.0)
         assert not is_active(MotionWindow(0, np.zeros((200, 9))), model)
-
-    def test_model_round_trip(self):
-        model = LinearSvmModel(w=np.arange(6.0), b=-1.5, c=2.0)
-        again = LinearSvmModel.from_dict(model.to_dict())
-        np.testing.assert_array_equal(model.w, again.w)
-        assert model.b == again.b and model.c == again.c
 
 
 def _loop_majority_labels(starts, width, spans):
