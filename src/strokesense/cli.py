@@ -138,6 +138,17 @@ def _classifier(payload):
     return kind.from_dict(payload)
 
 
+def _input_width(model):
+    """Inputs a classifier takes: the MLP's fan-in, or the width of a
+    DAGSVM's support vectors (None if no pair kept any)."""
+    if isinstance(model, MlpModel):
+        return model.sizes[0]
+    for m in model.models.values():
+        if m.coef.size:
+            return m.support_vectors.shape[-1]
+    return None
+
+
 def _windows_from_files(data_path, windows_path):
     """The windows a ``windows.csv`` cuts from a data CSV; every span must
     be at least 2 rows of the series (``0 <= start``, ``start + 2 <= end
@@ -248,12 +259,14 @@ def _cmd_train(args):
         model = train_dagsvm(Z[train_idx], y[train_idx], c=args.svm_c, gamma=args.gamma)
         predicted = dag_predict_batch(model, Z[test_idx]) if len(test_idx) else np.array([])
         payload = model.to_dict()
+        run = {}
     else:
         net = mlp_init(Z.shape[1], seed=args.seed)
         data = [(Z[i], int(y[i])) for i in train_idx]
         net = mlp_train(net, data, lr=args.lr, epochs=args.epochs, seed=args.seed)
         predicted = mlp_predict_batch(net, Z[test_idx]) if len(test_idx) else np.array([])
         payload = net.to_dict()
+        run = {"epochs": len(net.loss_history), "final_loss": net.loss_history[-1]}
 
     accuracy = float((predicted == y[test_idx]).mean()) if len(test_idx) else None
     _dump_json(args.out, payload)
@@ -264,14 +277,20 @@ def _cmd_train(args):
         test_size=len(test_idx),
         test_accuracy=accuracy,
         out=args.out,
+        **run,
     )
 
 
 def _cmd_predict(args):
     y, X = _read_features(args.infile)
     pca = _load_json(args.pca, PcaModel.from_dict)
-    Z = transform(pca, X)
     model = _load_json(args.model, _classifier)
+    width = _input_width(model)
+    if width not in (None, pca.k):
+        raise StrokeSenseError(
+            f"{args.pca} keeps {pca.k} components but {args.model} takes {width} inputs"
+        )
+    Z = transform(pca, X)
     predict = dag_predict_batch if isinstance(model, DagSvmModel) else mlp_predict_batch
     predicted = predict(model, Z)
     rows = ([str(true), str(int(pred))] for true, pred in zip(y.tolist(), predicted))

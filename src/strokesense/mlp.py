@@ -1,7 +1,10 @@
-"""Two-hidden-layer softmax classifier trained by per-sample SGD.
+"""Two-hidden-layer softmax classifier trained by mini-batch SGD, ``BATCH``
+samples, summed gradients.
 
 Topology [k_in, 120, 120, 6] with tanh hidden activations and a softmax
-output; cross-entropy loss, learning rate 0.01 by default.
+output; cross-entropy loss, learning rate 0.01 by default.  Gradients are
+summed over a batch, not averaged, so each sample still takes an
+``lr``-sized step.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +19,7 @@ DEFAULT_HIDDEN = (120, 120)
 DEFAULT_LR = 0.01
 DEFAULT_EPOCHS = 200
 EARLY_STOP_TOL = 1e-5
+BATCH = 16
 
 
 @dataclass
@@ -112,20 +116,24 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return probs
 
 
-def loss_and_grads(model: MlpModel, x: np.ndarray, label: int):
-    """Cross-entropy loss and analytic gradients for one sample."""
-    x = np.asarray(x, dtype=float)
+def loss_and_grads(model: MlpModel, x: np.ndarray, label):
+    """Cross-entropy loss and analytic gradients, each summed over a batch:
+    ``x`` of shape (b, k) with (b,) labels.  One (k,) sample with an int
+    label is the batch of one."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rows = np.arange(len(x))
+    label = np.broadcast_to(label, rows.shape)
     acts, probs = _forward_pass(model, x)
-    loss = -float(np.log(max(probs[label], 1e-300)))
+    loss = -float(np.log(np.maximum(probs[rows, label], 1e-300)).sum())
     delta = probs.copy()
-    delta[label] -= 1.0
+    delta[rows, label] -= 1.0
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.weights)
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = np.outer(acts[layer], delta)
-        grads_b[layer] = delta
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (model.weights[layer] @ delta) * (1.0 - acts[layer] ** 2)
+            delta = (delta @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
     return loss, grads_w, grads_b
 
 
@@ -137,7 +145,9 @@ def mlp_train(
     seed: int = 0,
     early_stop_tol: Optional[float] = EARLY_STOP_TOL,
 ) -> MlpModel:
-    """Per-sample SGD with a seeded per-epoch shuffle.
+    """Mini-batch SGD, ``BATCH`` samples, summed gradients: each epoch
+    walks a seeded permutation of ``data`` in slices of ``BATCH`` (the last
+    may be shorter).
 
     Returns a trained copy; per-epoch mean losses land in
     ``model.loss_history``.  Stops early once the mean epoch loss improves
@@ -160,8 +170,9 @@ def mlp_train(
     for _ in range(epochs):
         order = rng.permutation(len(X))
         total = 0.0
-        for i in order:
-            loss, gw, gb = loss_and_grads(trained, X[i], int(y[i]))
+        for start in range(0, len(X), BATCH):
+            batch = order[start:start + BATCH]
+            loss, gw, gb = loss_and_grads(trained, X[batch], y[batch])
             total += loss
             for layer in range(len(trained.weights)):
                 trained.weights[layer] -= lr * gw[layer]

@@ -114,6 +114,8 @@ class KernelSvmModel:
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not self.coef.size:  # its file stores no support-vector width
+            return np.full(len(X), self.b)
         K = gaussian_kernel_matrix(self.support_vectors, X, self.gamma)
         return self.coef @ K + self.b
 

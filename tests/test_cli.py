@@ -210,8 +210,10 @@ class TestTrainPredictReport:
             "--epochs", 60,
         )
         assert code == 0
-        capsys.readouterr()
+        summary = json.loads(capsys.readouterr().out)
         assert json.loads(model.read_text())["type"] == "mlp"
+        assert 1 <= summary["epochs"] <= 60
+        assert summary["final_loss"] > 0
 
     @pytest.mark.parametrize(
         "flags",
@@ -471,6 +473,23 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert reason in err
+
+    @pytest.mark.parametrize("model", ["model.json", "mlp.json"], ids=["dagsvm", "mlp"])
+    def test_pca_and_model_of_other_widths_name_both(self, artifacts, tmp_path, capsys, model):
+        pca = tmp_path / "pca.json"
+        assert run("fit-pca", "--in", artifacts / "features.csv", "--retention", 0.5,
+                   "--out", pca) == 0
+        capsys.readouterr()
+        k = json.loads(pca.read_text())["k"]
+        width = json.loads((artifacts / "pca.json").read_text())["k"]
+        assert k != width
+        assert run("predict", "--in", artifacts / "features.csv", "--pca", pca,
+                   "--model", artifacts / model, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{pca} keeps {k} components" in err
+        assert f"{artifacts / model} takes {width} inputs" in err
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_profile_names_file(self, artifacts, tmp_path, capsys):
         body = json.loads((artifacts / "profile.json").read_text())

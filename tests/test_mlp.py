@@ -51,36 +51,62 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
 
+def _check_finite_difference(model, x, label):
+    """Analytic gradients of ``loss_and_grads`` against central differences
+    of its loss, at three weights and two biases per layer."""
+    _, gw, gb = loss_and_grads(model, x, label)
+    eps = 1e-6
+
+    def loss_at(m):
+        return loss_and_grads(m, x, label)[0]
+
+    for layer in range(len(model.weights)):
+        W = model.weights[layer]
+        for idx in [(0, 0), (W.shape[0] - 1, W.shape[1] - 1), (0, W.shape[1] - 1)]:
+            probe = model.copy()
+            probe.weights[layer][idx] += eps
+            up = loss_at(probe)
+            probe.weights[layer][idx] -= 2 * eps
+            down = loss_at(probe)
+            numeric = (up - down) / (2 * eps)
+            np.testing.assert_allclose(gw[layer][idx], numeric, rtol=1e-4, atol=1e-7)
+        for j in (0, model.biases[layer].shape[0] - 1):
+            probe = model.copy()
+            probe.biases[layer][j] += eps
+            up = loss_at(probe)
+            probe.biases[layer][j] -= 2 * eps
+            down = loss_at(probe)
+            numeric = (up - down) / (2 * eps)
+            np.testing.assert_allclose(gb[layer][j], numeric, rtol=1e-4, atol=1e-7)
+
+
+def _batch_of_five(seed=14):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(5, 4)), rng.integers(0, 3, size=5)
+
+
 class TestGradients:
     def test_finite_difference(self):
-        model = _tiny_model(seed=11)
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=4)
-        label = 2
-        _, gw, gb = loss_and_grads(model, x, label)
-        eps = 1e-6
+        x = np.random.default_rng(12).normal(size=4)
+        _check_finite_difference(_tiny_model(seed=11), x, 2)
 
-        def loss_at(m):
-            return loss_and_grads(m, x, label)[0]
+    def test_batch_finite_difference(self):
+        X, y = _batch_of_five()
+        _check_finite_difference(_tiny_model(seed=11), X, y)
 
+    def test_batch_sums_its_samples(self):
+        model = _tiny_model(seed=15)
+        X, y = _batch_of_five()
+        loss, gw, gb = loss_and_grads(model, X, y)
+        singles = [loss_and_grads(model, x, int(label)) for x, label in zip(X, y)]
+        np.testing.assert_allclose(loss, sum(s[0] for s in singles), rtol=1e-12)
         for layer in range(len(model.weights)):
-            W = model.weights[layer]
-            for idx in [(0, 0), (W.shape[0] - 1, W.shape[1] - 1), (0, W.shape[1] - 1)]:
-                probe = model.copy()
-                probe.weights[layer][idx] += eps
-                up = loss_at(probe)
-                probe.weights[layer][idx] -= 2 * eps
-                down = loss_at(probe)
-                numeric = (up - down) / (2 * eps)
-                np.testing.assert_allclose(gw[layer][idx], numeric, rtol=1e-4, atol=1e-7)
-            for j in (0, model.biases[layer].shape[0] - 1):
-                probe = model.copy()
-                probe.biases[layer][j] += eps
-                up = loss_at(probe)
-                probe.biases[layer][j] -= 2 * eps
-                down = loss_at(probe)
-                numeric = (up - down) / (2 * eps)
-                np.testing.assert_allclose(gb[layer][j], numeric, rtol=1e-4, atol=1e-7)
+            np.testing.assert_allclose(
+                gw[layer], sum(s[1][layer] for s in singles), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                gb[layer], sum(s[2][layer] for s in singles), rtol=1e-12
+            )
 
     def test_loss_positive(self):
         model = _tiny_model()
@@ -117,6 +143,20 @@ class TestTraining:
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert a.loss_history == b.loss_history
+
+    def test_short_last_batch(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(17, 3))
+        y = (X[:, 0] > 0).astype(int)
+        runs = [
+            mlp_train(mlp_init(3, seed=5, hidden=[6, 6], n_out=2), list(zip(X, y)),
+                      epochs=5, seed=5)
+            for _ in range(2)
+        ]
+        for wa, wb in zip(runs[0].weights, runs[1].weights):
+            assert np.isfinite(wa).all()
+            np.testing.assert_array_equal(wa, wb)
+        assert runs[0].loss_history == runs[1].loss_history
 
     def test_original_model_untouched(self):
         rng = np.random.default_rng(9)

@@ -163,6 +163,13 @@ class TestPairwise:
         X = rng.normal(size=(5, 2))
         np.testing.assert_array_equal(model.decision(X), again.decision(X))
 
+    def test_round_trip_without_support_vectors(self):
+        model = KernelSvmModel(np.zeros((0, 2)), np.zeros(0), 1.0, 1.0, 1.0, (0, 1))
+        again = KernelSvmModel.from_dict(model.to_dict())
+        X = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(model.decision(X), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(again.decision(X), model.decision(X))
+
 
 def _unanimous_dag(favored: int) -> DagSvmModel:
     """A DAG whose every pairwise model prefers ``favored``."""
