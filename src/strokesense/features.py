@@ -13,18 +13,17 @@ magnitude appended, and the sample axis made contiguous.
 number of windows; :func:`window_features` and :func:`channel_stats` are
 one-window and one-channel calls of the same kernel.
 
-The results are bit-identical to reducing each channel on its own, which
-rests on these rounding rules:
+The statistics are built from ``+ - * /``, ``sqrt`` and numpy reductions
+only: every power is a plain product (``c2 = c * c``, then ``c2 * c`` and
+``c2 * c2``; ``variance * sigma`` for the variance to the power 1.5).  IEEE
+arithmetic rounds these the same way on every host.  numpy's array powers
+are not correctly rounded and change with its SIMD dispatch, and libm's
+``pow`` can round a square differently from ``v * v``; the feature bits
+depend on neither.
 
-* numpy sums a contiguous last axis pairwise, exactly as it sums a lone
-  1-D channel, strided or not;
-* the exponentiations ``variance ** 1.5``, ``variance ** 2`` and the
-  margin denominator ``mean(sqrt|x|) ** 2`` run on Python floats, because
-  numpy's array power differs from Python's ``float ** y`` in the last bit
-  for those exponents;
-* ``centered ** 3``, ``centered ** 4`` and ``x ** 4`` stay numpy array
-  powers (``c * c * c`` does not round the same way);
-* the partner channel's sigma is its own ``sqrt(variance)``.
+numpy sums a contiguous last axis pairwise, exactly as it sums a lone 1-D
+channel, so the results are bit-identical to reducing each channel on its
+own.
 """
 
 import numpy as np
@@ -84,11 +83,6 @@ def _guarded(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(small, 0.0, num / np.where(small, 1.0, den))
 
 
-def _float_pow(a: np.ndarray, y: float) -> np.ndarray:
-    """``a ** y`` element by element on Python floats."""
-    return np.array([v**y for v in a.ravel().tolist()]).reshape(a.shape)
-
-
 def _stats(x: np.ndarray, partner) -> np.ndarray:
     """The 15 statistics, (b, c, 15), over the last axis of a contiguous
     (b, c, n) block; channel ``i`` correlates with channel ``partner[i]``.
@@ -100,10 +94,12 @@ def _stats(x: np.ndarray, partner) -> np.ndarray:
         raise TooShort("need at least 2 samples per channel")
     mean = x.mean(axis=-1)
     centered = x - mean[..., None]
-    variance = np.mean(centered**2, axis=-1)
+    c2 = centered * centered
+    x2 = x * x
+    variance = np.mean(c2, axis=-1)
     x_max, x_min = x.max(axis=-1), x.min(axis=-1)
     pv = x_max - x_min
-    mean_square = np.mean(x**2, axis=-1)
+    mean_square = np.mean(x2, axis=-1)
     rms = np.sqrt(mean_square)
     mean_abs = np.mean(np.abs(x), axis=-1)
 
@@ -113,11 +109,12 @@ def _stats(x: np.ndarray, partner) -> np.ndarray:
 
     crest = _guarded(pv, rms)
     pulse = _guarded(pv, mean_abs)
-    margin = _guarded(pv, _float_pow(np.mean(np.sqrt(np.abs(x)), axis=-1), 2))
-    kurtosis_factor = _guarded(np.mean(x**4, axis=-1), rms)
+    root_mean = np.mean(np.sqrt(np.abs(x)), axis=-1)
+    margin = _guarded(pv, root_mean * root_mean)
+    kurtosis_factor = _guarded(np.mean(x2 * x2, axis=-1), rms)
     waveform = _guarded(rms, mean_abs)
-    skewness = _guarded(np.mean(centered**3, axis=-1), _float_pow(variance, 1.5))
-    kurt_raw = _guarded(np.mean(centered**4, axis=-1), _float_pow(variance, 2))
+    skewness = _guarded(np.mean(c2 * centered, axis=-1), variance * sigma)
+    kurt_raw = _guarded(np.mean(c2 * c2, axis=-1), variance * variance)
     kurtosis = np.where(kurt_raw != 0.0, kurt_raw - 3.0, 0.0)
 
     return np.stack(

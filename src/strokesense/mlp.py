@@ -44,8 +44,8 @@ class MlpModel:
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
         """Only tanh hidden layers exist; a model file naming another
-        activation, or whose layer shapes do not chain, is rejected with
-        ValueError."""
+        activation, whose layer shapes do not chain, or that holds a
+        non-finite number, is rejected with ValueError."""
         activation = d.get("activation", "tanh")
         if activation != "tanh":
             raise ValueError(f"unsupported activation {activation!r}; only tanh exists")
@@ -61,6 +61,8 @@ class MlpModel:
                 raise ValueError(
                     f"layer {layer}: weights {w.shape} and biases {b.shape} do not chain"
                 )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {layer}: weights and biases must be finite")
         return cls(weights=weights, biases=biases)
 
     def copy(self) -> "MlpModel":

@@ -43,8 +43,9 @@ class PcaModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcaModel":
-        """Rejects with ValueError a model without a scale vector, or whose
-        components are not (k, p) for p means, scales and eigenvalues."""
+        """Rejects with ValueError a model without a scale vector, whose
+        components are not (k, p) for p means, scales and eigenvalues, that
+        holds a non-finite number, or whose scale is not positive."""
         if d.get("scale") is None:
             raise ValueError("PCA model has no scale vector")
         model = cls(
@@ -65,6 +66,11 @@ class PcaModel:
                 f"components need shape ({model.k}, {model.n_features}), "
                 f"got {model.components.shape}"
             )
+        for name in ("mean", "scale", "components", "eigenvalues"):
+            if not np.isfinite(getattr(model, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if (model.scale <= 0).any():
+            raise ValueError("scale must be positive")
         return model
 
 

@@ -132,7 +132,8 @@ class KernelSvmModel:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSvmModel":
         """Rejects with ValueError a model with one coefficient too many or
-        too few for its support vectors."""
+        too few for its support vectors, or with a non-finite support
+        vector, coefficient, ``b`` or ``gamma``."""
         model = cls(
             support_vectors=np.array(d["support_vectors"], dtype=float),
             coef=np.array(d["coef"], dtype=float),
@@ -146,6 +147,9 @@ class KernelSvmModel:
                 f"pair {model.class_pair}: {len(model.support_vectors)} support vectors "
                 f"need as many coef values, got shape {model.coef.shape}"
             )
+        for name in ("support_vectors", "coef", "b", "gamma"):
+            if not np.isfinite(getattr(model, name)).all():
+                raise ValueError(f"pair {model.class_pair}: {name} must be finite")
         return model
 
 

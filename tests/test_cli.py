@@ -407,8 +407,12 @@ _JSON_CASES = {
 
 _PREDICT = _JSON_CASES["model"][1]
 
+_PREDICT_PCA = ["predict", "--in", "features.csv", "--pca", "BAD", "--model", "model.json",
+                "--out", "OUT"]
+
 #: id: (artifact, edit of its JSON object, what the error names, command);
-#: each edit keeps the file valid JSON but makes its shapes disagree.
+#: each edit keeps the file valid JSON but makes its shapes disagree or puts
+#: in a value that no fit writes (a non-finite number, a scale of 0).
 _SHAPE_CASES = {
     "pca-component-column": ("pca.json",
                              lambda d: d.update(components=[r[:-1] for r in d["components"]]),
@@ -420,6 +424,18 @@ _SHAPE_CASES = {
                     "coef", _PREDICT),
     "dagsvm-class-pair": ("model.json", lambda d: d["models"][0].update(class_pair=[0, 9]),
                           "(0, 9)", _PREDICT),
+    "pca-zero-scale": ("pca.json", lambda d: d["scale"].__setitem__(0, 0.0),
+                       "scale must be positive", _PREDICT_PCA),
+    "pca-nan-mean": ("pca.json", lambda d: d["mean"].__setitem__(0, float("nan")),
+                     "mean must be finite", _PREDICT_PCA),
+    "mlp-nan-weight": ("mlp.json", lambda d: d["weights"][0][0].__setitem__(0, float("nan")),
+                       "layer 0: weights and biases must be finite", _PREDICT),
+    "dagsvm-nan-coef": ("model.json", lambda d: d["models"][0]["coef"].__setitem__(0, float("nan")),
+                        "coef must be finite", _PREDICT),
+    "dagsvm-infinite-b": ("model.json", lambda d: d["models"][0].update(b=float("inf")),
+                          "b must be finite", _PREDICT),
+    "dagsvm-nan-gamma": ("model.json", lambda d: d["models"][0].update(gamma=float("nan")),
+                         "gamma must be finite", _PREDICT),
 }
 
 

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strokesense
 from strokesense.features import (
     CHANNEL_NAMES,
     CORR_PARTNER,
@@ -125,3 +131,42 @@ class TestWindowFeatures:
     def test_all_finite_on_corpus(self, small_features):
         X, _ = small_features
         assert np.isfinite(X).all()
+
+
+#: Prints the SHA-256 of the feature matrix of a faulty 3-strokes-per-class
+#: corpus, cleaned and cut into sliding windows.
+_DIGEST_SCRIPT = """
+import hashlib
+from strokesense.features import feature_matrix
+from strokesense.preprocessing import preprocess_series
+from strokesense.synth import GenConfig, generate
+from strokesense.windows import slide_windows
+cfg = GenConfig(seed=1, strokes_per_class=3, spike_rate=0.002, dropout_rate=0.01)
+series, _ = generate(cfg)
+F = feature_matrix(slide_windows(preprocess_series(series)))
+print(hashlib.sha256(F.tobytes()).hexdigest())
+"""
+
+
+def _feature_digest(**env):
+    src = str(Path(strokesense.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip()
+
+
+def test_features_do_not_depend_on_simd_dispatch():
+    """The moments are plain products, whose IEEE rounding is the same on
+    every host, so switching off every SIMD target numpy dispatches to on
+    this CPU leaves the feature bits unchanged.  Only dispatched features
+    can be named: a baseline one is a RuntimeError at import, and one not
+    dispatched an ImportWarning."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not dispatched:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU")
+    plain = _feature_digest()
+    assert len(plain) == 64
+    assert _feature_digest(NPY_DISABLE_CPU_FEATURES=" ".join(dispatched)) == plain

@@ -1,8 +1,14 @@
-"""The batched window layer: bit-equality with the one-window-at-a-time
-reference implementations in oracles.py (features, channel statistics,
-activation markers, scoring indicators, pooled profiles), block edges,
-degenerate windows, and a session whose gate keeps no window.  Every
-equality is exact (np.array_equal)."""
+"""The batched window layer against the one-window-at-a-time reference
+implementations in oracles.py (features, channel statistics, activation
+markers, scoring indicators, pooled profiles), block edges, degenerate
+windows, and a session whose gate keeps no window.
+
+Every equality is exact (np.array_equal) except four of the 15 channel
+statistics, :data:`ROUNDED_STATS`.  The reference raises to powers
+(``** 3``, ``** 4``, ``** 1.5``, ``** 2``); the kernel multiplies, so those
+columns agree to rounding only.  The largest difference measured over this
+module's inputs is 1.8e-15 * max(|v|, 1), in ``kurtosis``; the tolerance
+below allows about five times that."""
 
 import numpy as np
 import pytest
@@ -15,7 +21,14 @@ from oracles import (
     reference_window_features,
 )
 from strokesense.errors import TooShort
-from strokesense.features import N_FEATURES, channel_stats, feature_matrix, window_features
+from strokesense.features import (
+    CHANNEL_NAMES,
+    N_FEATURES,
+    STAT_NAMES,
+    channel_stats,
+    feature_matrix,
+    window_features,
+)
 from strokesense.io import SensorSeries
 from strokesense.labels import StrokeLabel
 from strokesense.mlp import mlp_init, mlp_predict_batch, mlp_train
@@ -36,11 +49,18 @@ from strokesense.windows import (
 
 FAULTY_SEEDS = [1, 2, 3]
 
-#: (batched function, per-window function, reference, columns)
+#: The statistics built from products the reference takes as powers.
+ROUNDED_STATS = ["margin", "kurtosis_factor", "skewness", "kurtosis"]
+ROUNDED = np.isin(STAT_NAMES, ROUNDED_STATS)
+
+#: (batched function, per-window function, reference, rounded-column mask)
 LAYERS = [
-    (feature_matrix, window_features, reference_window_features, N_FEATURES),
-    (activation_matrix, activation_features, reference_activation_features, 6),
-    (indicator_matrix, indicator_values, reference_indicator_values, N_INDICATORS),
+    (feature_matrix, window_features, reference_window_features,
+     np.tile(ROUNDED, len(CHANNEL_NAMES))),
+    (activation_matrix, activation_features, reference_activation_features,
+     np.zeros(6, dtype=bool)),
+    (indicator_matrix, indicator_values, reference_indicator_values,
+     np.zeros(N_INDICATORS, dtype=bool)),
 ]
 LAYER_IDS = ["features", "activation", "indicators"]
 
@@ -76,36 +96,44 @@ def _degenerate_windows():
 DEGENERATE = _degenerate_windows()
 
 
-@pytest.mark.parametrize("batched, single, reference, n_cols", LAYERS, ids=LAYER_IDS)
+def assert_matches(got, want, rounded):
+    """Bit-equal outside the ``rounded`` columns, and within 1e-14 *
+    (1 + |want|) in them."""
+    assert got.shape == want.shape
+    assert np.array_equal(got[..., ~rounded], want[..., ~rounded])
+    np.testing.assert_allclose(got[..., rounded], want[..., rounded], rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("batched, single, reference, rounded", LAYERS, ids=LAYER_IDS)
 class TestAgainstReference:
-    def test_faulty_corpus(self, faulty_windows, batched, single, reference, n_cols):
+    def test_faulty_corpus(self, faulty_windows, batched, single, reference, rounded):
         want = np.array([reference(w) for w in faulty_windows])
         got = batched(faulty_windows)
-        assert got.shape == (len(faulty_windows), n_cols)
-        assert np.array_equal(got, want)
-        assert all(np.array_equal(single(w), r) for w, r in zip(faulty_windows, want))
+        assert got.shape == (len(faulty_windows), len(rounded))
+        assert_matches(got, want, rounded)
+        assert all(np.array_equal(single(w), g) for w, g in zip(faulty_windows, got))
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
-    def test_degenerate_window(self, name, batched, single, reference, n_cols):
+    def test_degenerate_window(self, name, batched, single, reference, rounded):
         window = MotionWindow(0, DEGENERATE[name])
-        assert np.array_equal(single(window), reference(window))
-        assert np.array_equal(batched([window]), reference(window)[None])
+        assert_matches(single(window), reference(window), rounded)
+        assert_matches(batched([window]), reference(window)[None], rounded)
 
-    def test_mixed_widths_keep_order(self, batched, single, reference, n_cols):
+    def test_mixed_widths_keep_order(self, batched, single, reference, rounded):
         rng = np.random.default_rng(5)
         windows = [MotionWindow(0, DEGENERATE[name]) for name in sorted(DEGENERATE)]
         windows += [MotionWindow(0, rng.normal(size=(200, 9)), sample_period=0.02)]
         windows = windows[::2] + windows[1::2]
-        assert np.array_equal(batched(windows), np.array([reference(w) for w in windows]))
+        assert_matches(batched(windows), np.array([reference(w) for w in windows]), rounded)
 
     @pytest.mark.parametrize("m", [1, _BLOCK, _BLOCK + 1])
-    def test_block_edges(self, m, batched, single, reference, n_cols):
+    def test_block_edges(self, m, batched, single, reference, rounded):
         rng = np.random.default_rng(m)
         windows = [MotionWindow(0, rng.normal(scale=3.0, size=(200, 9))) for _ in range(m)]
-        assert np.array_equal(batched(windows), np.array([reference(w) for w in windows]))
+        assert_matches(batched(windows), np.array([reference(w) for w in windows]), rounded)
 
-    def test_no_windows(self, batched, single, reference, n_cols):
-        assert batched([]).shape == (0, n_cols)
+    def test_no_windows(self, batched, single, reference, rounded):
+        assert batched([]).shape == (0, len(rounded))
 
 
 class TestChannelStatsReference:
@@ -114,13 +142,13 @@ class TestChannelStatsReference:
         channels = DEGENERATE[name]
         for i in range(9):
             x, pair = channels[:, i], channels[:, (i + 1) % 9]
-            assert np.array_equal(channel_stats(x, pair), reference_channel_stats(x, pair))
+            assert_matches(channel_stats(x, pair), reference_channel_stats(x, pair), ROUNDED)
 
     def test_random_lengths(self):
         rng = np.random.default_rng(23)
         for n in (2, 3, 8, 9, 127, 128, 129, 200, 1000):
             x, pair = rng.normal(scale=4.0, size=(2, n))
-            assert np.array_equal(channel_stats(x, pair), reference_channel_stats(x, pair))
+            assert_matches(channel_stats(x, pair), reference_channel_stats(x, pair), ROUNDED)
 
 
 def test_one_row_window_too_short():
