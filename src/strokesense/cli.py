@@ -8,6 +8,7 @@ success, 1 usage error, 2 data error.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -114,7 +115,11 @@ def _span(fields):
 
 def _feature_row(fields):
     label, *values = _fields(fields, 1 + N_FEATURES)
-    return int(StrokeLabel.from_name(label)) if label else -1, [float(v) for v in values]
+    row = [float(v) for v in values]
+    if not all(map(math.isfinite, row)):
+        name, v = next((n, v) for n, v in zip(FEATURE_NAMES, row) if not math.isfinite(v))
+        raise ValueError(f"feature {name} must be finite, got {v}")
+    return int(StrokeLabel.from_name(label)) if label else -1, row
 
 
 def _read_features(path):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     BadWeights,
@@ -106,13 +105,17 @@ def ahp_weights(a) -> np.ndarray:
 # --- per-window indicator values ------------------------------------------
 
 def _velocity(acc: np.ndarray, acc_mean: np.ndarray, sample_period: float) -> np.ndarray:
-    """Trapezoidal velocity of (..., width, 3) acceleration along the
-    sample axis, after removing its window mean (..., 1, 3); v(0) = 0.
+    """Velocity of (..., width, 3) acceleration, after removing its window
+    mean (..., 1, 3), by the trapezoid rule along the sample axis: v(0) = 0
+    and v(i) = v(i-1) + dt * (a(i-1) + a(i)) / 2.
 
     Subtracting the window-mean acceleration strips gravity and sensor
     bias and bounds integration drift over a single stroke window.
     """
-    return cumulative_trapezoid(acc - acc_mean, dx=sample_period, axis=-2, initial=0.0)
+    a = acc - acc_mean
+    # scipy's cumulative_trapezoid order of operations keeps the bits equal to the oracle's
+    steps = sample_period * (a[..., 1:, :] + a[..., :-1, :]) / 2.0
+    return np.concatenate([np.zeros_like(a[..., :1, :]), np.cumsum(steps, axis=-2)], axis=-2)
 
 
 def _direction_angles(vecs: np.ndarray) -> np.ndarray:

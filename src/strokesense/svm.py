@@ -131,7 +131,8 @@ class KernelSvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSvmModel":
-        """Rejects with ValueError a model with one coefficient too many or
+        """Rejects with ValueError support vectors that are not a 2-D table
+        (``[]`` stands for none), a model with one coefficient too many or
         too few for its support vectors, or with a non-finite support
         vector, coefficient, ``b`` or ``gamma``."""
         model = cls(
@@ -142,6 +143,11 @@ class KernelSvmModel:
             c=float(d["c"]),
             class_pair=(int(d["class_pair"][0]), int(d["class_pair"][1])),
         )
+        if model.support_vectors.ndim != 2 and model.support_vectors.size:
+            raise ValueError(
+                f"pair {model.class_pair}: support_vectors must be a 2-D table, "
+                f"got shape {model.support_vectors.shape}"
+            )
         if model.coef.shape != model.support_vectors.shape[:1]:
             raise ValueError(
                 f"pair {model.class_pair}: {len(model.support_vectors)} support vectors "
@@ -193,7 +199,8 @@ class DagSvmModel:
     """All 15 pairwise models plus the candidate elimination order.
 
     ``models`` is keyed by exactly the unordered pairs ``(a, b)``, a < b, of
-    ``class_order``, and each model's ``class_pair`` is its key (ValueError
+    ``class_order``, each model's ``class_pair`` is its key, and every pair
+    that keeps support vectors keeps them of one width (ValueError
     otherwise)."""
 
     models: Dict[Tuple[int, int], KernelSvmModel]
@@ -210,6 +217,14 @@ class DagSvmModel:
         for pair, model in self.models.items():
             if model.class_pair != pair:
                 raise ValueError(f"model under pair {pair} separates {model.class_pair}")
+        kept = [(pair, m.support_vectors.shape[1]) for pair, m in sorted(self.models.items())
+                if m.coef.size]
+        for pair, width in kept[1:]:
+            if width != kept[0][1]:
+                raise ValueError(
+                    f"pair {pair} keeps support vectors of width {width}, "
+                    f"pair {kept[0][0]} of width {kept[0][1]}"
+                )
 
     def to_dict(self) -> dict:
         return {

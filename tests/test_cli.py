@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import strokesense
 from strokesense.cli import _read_csv, _span, _write_spans, build_parser, main
 from strokesense.metrics import DEFAULT_ALPHA
 from strokesense.mlp import DEFAULT_EPOCHS, DEFAULT_LR
@@ -391,6 +395,11 @@ _CSV_CASES = {
     "features-bad-label-predict": ("features.csv", 5, _replace_field(0, "BOGUS"), "'BOGUS'",
                                    ["predict", "--in", "BAD", "--pca", "pca.json",
                                     "--model", "model.json", "--out", "OUT"]),
+    "features-nan": ("features.csv", 3, _replace_field(1, "nan"), "must be finite, got nan",
+                     ["predict", "--in", "BAD", "--pca", "pca.json",
+                      "--model", "model.json", "--out", "OUT"]),
+    "features-inf": ("features.csv", 4, _replace_field(7, "-inf"), "must be finite, got -inf",
+                     ["train", "--in", "BAD", "--pca", "pca.json", "--out", "OUT"]),
     "predictions-bad-int": ("predictions.csv", 3, lambda _: "3,x", "'x'",
                             ["report", "--predictions", "BAD", "--out", "OUT"]),
     "predictions-short-row": ("predictions.csv", 2, lambda _: "3", "expected 2 fields, got 1",
@@ -422,6 +431,10 @@ _SHAPE_CASES = {
                  "biases", _PREDICT),
     "dagsvm-coef": ("model.json", lambda d: d["models"][0].update(coef=d["models"][0]["coef"][:-1]),
                     "coef", _PREDICT),
+    "dagsvm-support-vector-width": ("model.json",
+                                    lambda d: d["models"][1].update(support_vectors=[
+                                        r + [0.0] for r in d["models"][1]["support_vectors"]]),
+                                    "of width", _PREDICT),
     "dagsvm-class-pair": ("model.json", lambda d: d["models"][0].update(class_pair=[0, 9]),
                           "(0, 9)", _PREDICT),
     "pca-zero-scale": ("pca.json", lambda d: d["scale"].__setitem__(0, 0.0),
@@ -523,6 +536,43 @@ class TestMalformedArtifacts:
                    "--build-profile", tmp_path / "out") == 2
         assert "unknown stroke label 'BOGUS'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+#: The ``artifacts`` scoring chain, for a fresh interpreter: ``{d}`` is its
+#: output directory.
+_SCORING_CHAIN = [
+    ["synth", "--seed", "5", "--strokes-per-class", "8", "--out", "{d}"],
+    ["segment", "--in", "{d}/data.csv", "--labels", "{d}/labels.csv", "--out", "{d}/windows.csv"],
+    ["evaluate", "--in", "{d}/data.csv", "--windows", "{d}/windows.csv",
+     "--stroke", "FOREHAND_ATTACK", "--build-profile", "{d}/profile.json"],
+    ["evaluate", "--in", "{d}/data.csv", "--windows", "{d}/windows.csv",
+     "--profile", "{d}/profile.json", "--out", "{d}/scores.csv"],
+]
+
+_WITHOUT_SCIPY = """\
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from strokesense.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_scoring_chain_runs_without_scipy(artifacts, tmp_path, capsys):
+    """The runtime needs numpy only: where scipy cannot be imported, the
+    CLI scoring chain writes the same scores.csv as an in-process run."""
+    assert run("evaluate", "--in", artifacts / "data.csv", "--windows", artifacts / "windows.csv",
+               "--profile", artifacts / "profile.json", "--out", tmp_path / "scores.csv") == 0
+    capsys.readouterr()
+    d = tmp_path / "fresh"
+    chain = [[arg.format(d=d) for arg in argv] for argv in _SCORING_CHAIN]
+    path = [str(Path(strokesense.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(chain)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (d / "scores.csv").read_bytes() == (tmp_path / "scores.csv").read_bytes()
 
 
 class TestConfig:

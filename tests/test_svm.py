@@ -231,3 +231,19 @@ class TestDag:
         models[(0, 1)], models[(0, 2)] = models[(0, 2)], models[(0, 1)]
         with pytest.raises(ValueError, match="separates"):
             DagSvmModel(models=models)
+
+    def test_support_vectors_share_one_width(self):
+        models = dict(_unanimous_dag(0).models)
+        for pair, width in [((0, 1), 2), ((0, 2), 3)]:
+            models[pair] = KernelSvmModel(np.zeros((1, width)), np.ones(1), 0.0, 1.0, 1.0, pair)
+        with pytest.raises(ValueError, match=r"pair \(0, 2\) keeps support vectors of width 3"):
+            DagSvmModel(models=models)
+        models[(0, 2)] = _unanimous_dag(0).models[(0, 2)]  # no support vectors: any width
+        DagSvmModel(models=models)
+
+    @pytest.mark.parametrize("support_vectors", [[1.0, 2.0], [[[1.0, 2.0]]]], ids=["1-D", "3-D"])
+    def test_support_vectors_form_a_table(self, support_vectors):
+        d = KernelSvmModel(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0, (0, 1)).to_dict()
+        d.update(support_vectors=support_vectors, coef=[1.0] * len(support_vectors))
+        with pytest.raises(ValueError, match="2-D table"):
+            KernelSvmModel.from_dict(d)
