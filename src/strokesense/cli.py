@@ -18,7 +18,7 @@ from . import __version__
 from .errors import StrokeSenseError
 from .features import FEATURE_NAMES, N_FEATURES, window_features
 from .io import parse_series, serialize_series
-from .labels import IDLE, StrokeLabel
+from .labels import IDLE, N_CLASSES, StrokeLabel
 from .metrics import DEFAULT_ALPHA, classification_report, confusion, heatmap_csv
 from .mlp import DEFAULT_EPOCHS, DEFAULT_LR, MlpModel, mlp_init, mlp_predict_batch, mlp_train
 from .pca import DEFAULT_RETENTION, PcaModel, fit_pca, transform
@@ -131,8 +131,13 @@ def _read_features(path):
 
 
 def _prediction(fields):
-    true, pred = _fields(fields, 2)
-    return int(true), int(pred)
+    """A true code (-1 for an unlabelled row) and a predicted code."""
+    true, pred = (int(v) for v in _fields(fields, 2))
+    if not -1 <= true < N_CLASSES:
+        raise ValueError(f"true code {true} outside -1..{N_CLASSES - 1}")
+    if not 0 <= pred < N_CLASSES:
+        raise ValueError(f"predicted code {pred} outside 0..{N_CLASSES - 1}")
+    return true, pred
 
 
 def _classifier(payload):
@@ -141,17 +146,6 @@ def _classifier(payload):
     if kind is None:
         raise ValueError(f"unknown model type {payload.get('type')!r}")
     return kind.from_dict(payload)
-
-
-def _input_width(model):
-    """Inputs a classifier takes: the MLP's fan-in, or the width of a
-    DAGSVM's support vectors (None if no pair kept any)."""
-    if isinstance(model, MlpModel):
-        return model.sizes[0]
-    for m in model.models.values():
-        if m.coef.size:
-            return m.support_vectors.shape[-1]
-    return None
 
 
 def _windows_from_files(data_path, windows_path):
@@ -290,10 +284,9 @@ def _cmd_predict(args):
     y, X = _read_features(args.infile)
     pca = _load_json(args.pca, PcaModel.from_dict)
     model = _load_json(args.model, _classifier)
-    width = _input_width(model)
-    if width not in (None, pca.k):
+    if model.n_inputs not in (None, pca.k):
         raise StrokeSenseError(
-            f"{args.pca} keeps {pca.k} components but {args.model} takes {width} inputs"
+            f"{args.pca} keeps {pca.k} components but {args.model} takes {model.n_inputs} inputs"
         )
     Z = transform(pca, X)
     predict = dag_predict_batch if isinstance(model, DagSvmModel) else mlp_predict_batch
@@ -362,9 +355,7 @@ def _cmd_report(args):
     pairs = [(t, p) for t, p in _read_csv(args.predictions, _prediction) if t >= 0]
     if not pairs:
         raise StrokeSenseError("report needs ground-truth labels in the predictions file")
-    true = [t for t, _ in pairs]
-    pred = [p for _, p in pairs]
-    m = confusion(true, pred)
+    m = confusion(*zip(*pairs))
     report = classification_report(m, alpha=args.alpha)
     _dump_json(args.out, report)
     if args.heatmap:

@@ -43,68 +43,58 @@ def confusion(true_labels: Sequence[int], predicted_labels: Sequence[int]) -> Co
     return ConfusionMatrix(counts)
 
 
-def _tp_fp_fn(m: ConfusionMatrix, cls: int) -> Tuple[int, int, int]:
-    tp = int(m.counts[cls, cls])
-    fp = int(m.counts[:, cls].sum()) - tp
-    fn = int(m.counts[cls, :].sum()) - tp
-    return tp, fp, fn
+#: The per-class scores, in report order.
+_SCORES = ("precision", "recall", "f_measure")
+
+
+def _class_scores(m: ConfusionMatrix, alpha: float = DEFAULT_ALPHA):
+    """(6,) precision, recall and F arrays from the diagonal (TP), column
+    sums (TP + FP) and row sums (TP + FN); 0 where a denominator is 0."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    tp = np.diag(m.counts)
+    fp = m.counts.sum(axis=0) - tp
+    fn = m.counts.sum(axis=1) - tp
+    den = 2 * tp + 2 * alpha * fn + 2 * (1 - alpha) * fp
+    return tuple(
+        np.divide(num, d, out=np.zeros(N_CLASSES), where=d != 0)
+        for num, d in ((tp, tp + fp), (tp, tp + fn), (2 * tp, den))
+    )
 
 
 def precision_recall(m: ConfusionMatrix, cls: int) -> Tuple[float, float]:
     """Per-class precision and recall; empty column/row yields 0."""
     if not 0 <= cls < N_CLASSES:
         raise BadLabel(f"class {cls} outside 0-5")
-    tp, fp, fn = _tp_fp_fn(m, cls)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall
+    p, r, _ = _class_scores(m)
+    return float(p[cls]), float(r[cls])
 
 
 def f_measure(m: ConfusionMatrix, cls: int, alpha: float = DEFAULT_ALPHA) -> float:
     """2TP / (2TP + 2*alpha*FN + 2*(1-alpha)*FP); empty denominator -> 0."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _, _, f = _class_scores(m, alpha)
     if not 0 <= cls < N_CLASSES:
         raise BadLabel(f"class {cls} outside 0-5")
-    tp, fp, fn = _tp_fp_fn(m, cls)
-    den = 2 * tp + 2 * alpha * fn + 2 * (1 - alpha) * fp
-    return 2 * tp / den if den else 0.0
+    return float(f[cls])
 
 
 def macro_scores(m: ConfusionMatrix, alpha: float = DEFAULT_ALPHA) -> dict:
     """Unweighted per-class averages of precision, recall and F."""
-    ps, rs, fs = [], [], []
-    for cls in range(N_CLASSES):
-        p, r = precision_recall(m, cls)
-        ps.append(p)
-        rs.append(r)
-        fs.append(f_measure(m, cls, alpha))
-    return {
-        "precision": float(np.mean(ps)),
-        "recall": float(np.mean(rs)),
-        "f_measure": float(np.mean(fs)),
-    }
+    return {k: float(v.mean()) for k, v in zip(_SCORES, _class_scores(m, alpha))}
 
 
 def classification_report(m: ConfusionMatrix, alpha: float = DEFAULT_ALPHA) -> dict:
     """Full JSON-ready report: matrix, per-class P/R/F, macro averages."""
-    per_class = []
-    for cls in range(N_CLASSES):
-        p, r = precision_recall(m, cls)
-        per_class.append(
-            {
-                "class": cls,
-                "precision": p,
-                "recall": r,
-                "f_measure": f_measure(m, cls, alpha),
-            }
-        )
+    scores = dict(zip(_SCORES, _class_scores(m, alpha)))
     return {
         "alpha": alpha,
         "accuracy": m.accuracy,
         "matrix": m.counts.tolist(),
-        "per_class": per_class,
-        "macro": macro_scores(m, alpha),
+        "per_class": [
+            {"class": cls, **{k: float(v[cls]) for k, v in scores.items()}}
+            for cls in range(N_CLASSES)
+        ],
+        "macro": {k: float(v.mean()) for k, v in scores.items()},
     }
 
 

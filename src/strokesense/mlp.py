@@ -29,8 +29,12 @@ class MlpModel:
     loss_history: List[float] = field(default_factory=list)
 
     @property
+    def n_inputs(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
     def sizes(self) -> List[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self.n_inputs] + [w.shape[1] for w in self.weights]
 
     def to_dict(self) -> dict:
         return {
@@ -44,8 +48,9 @@ class MlpModel:
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
         """Only tanh hidden layers exist; a model file naming another
-        activation, whose layer shapes do not chain, or that holds a
-        non-finite number, is rejected with ValueError."""
+        activation, whose layer shapes do not chain, whose last layer is not
+        ``N_CLASSES`` wide, or that holds a non-finite number, is rejected
+        with ValueError."""
         activation = d.get("activation", "tanh")
         if activation != "tanh":
             raise ValueError(f"unsupported activation {activation!r}; only tanh exists")
@@ -63,6 +68,8 @@ class MlpModel:
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {layer}: weights and biases must be finite")
+        if biases[-1].shape != (N_CLASSES,):
+            raise ValueError(f"the last layer needs {N_CLASSES} outputs, got {biases[-1].shape}")
         return cls(weights=weights, biases=biases)
 
     def copy(self) -> "MlpModel":
@@ -112,8 +119,8 @@ def _forward_pass(model: MlpModel, x: np.ndarray):
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities for one input vector (or a batch)."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.sizes[0]:
-        raise DimensionMismatch(f"expected {model.sizes[0]} inputs, got {x.shape[-1]}")
+    if x.shape[-1] != model.n_inputs:
+        raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {x.shape[-1]}")
     _, probs = _forward_pass(model, x)
     return probs
 

@@ -101,10 +101,8 @@ def fit_pca(X: np.ndarray, retention: float = DEFAULT_RETENTION) -> PcaModel:
     eigvecs = eigvecs[:, order]
 
     # deterministic sign: largest-magnitude entry of each component positive
-    for j in range(eigvecs.shape[1]):
-        pivot = np.argmax(np.abs(eigvecs[:, j]))
-        if eigvecs[pivot, j] < 0:
-            eigvecs[:, j] = -eigvecs[:, j]
+    pivots = eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(eigvecs.shape[1])]
+    eigvecs = eigvecs * np.where(pivots < 0, -1.0, 1.0)
 
     total = eigvals.sum()
     if total <= 0:

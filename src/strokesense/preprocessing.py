@@ -18,6 +18,7 @@ from .io import SensorSeries
 SIGMA_EPS_SCALE = 1e-12  # degenerate-spread guard for outlier removal
 DEFAULT_K0 = 0.3
 DEFAULT_DELTA_A_FRACTION = 0.05  # of the channel's peak-valley span
+FILL_SUPPORT = 4  # known samples behind each cubic Newton fill
 
 
 def diff_stats(values) -> Tuple[float, float]:
@@ -68,7 +69,7 @@ def _divided_difference_fill(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
     return float(result)
 
 
-def newton_fill(values, positions, present, support: int = 4) -> np.ndarray:
+def newton_fill(values, positions, present) -> np.ndarray:
     """Fill every missing sample (``present`` False) with the cubic Newton
     interpolant built on its four nearest known samples; returns the
     filled values.
@@ -91,18 +92,18 @@ def newton_fill(values, positions, present, support: int = 4) -> np.ndarray:
     if len(positions) > 1 and not (np.diff(positions) > 0).all():
         raise ValueError("positions must be strictly increasing")
     known_idx = np.nonzero(present)[0]
-    if len(known_idx) < support:
+    if len(known_idx) < FILL_SUPPORT:
         raise InsufficientSupport(
-            f"need at least {support} known samples, have {len(known_idx)}"
+            f"need at least {FILL_SUPPORT} known samples, have {len(known_idx)}"
         )
     missing = np.nonzero(~present)[0]
     right = np.searchsorted(known_idx, missing)
     for j, r in zip(missing.tolist(), right.tolist()):
         near = np.concatenate(
-            (np.arange(max(j - support, 0), j), known_idx[r : r + support])
+            (np.arange(max(j - FILL_SUPPORT, 0), j), known_idx[r : r + FILL_SUPPORT])
         )
         order = np.argsort(np.abs(positions[near] - positions[j]), kind="stable")
-        picked = np.sort(near[order[:support]])
+        picked = np.sort(near[order[:FILL_SUPPORT]])
         xs, ys = positions[picked], values[picked]
         values[j] = _divided_difference_fill(xs, ys, float(positions[j]))
     return values

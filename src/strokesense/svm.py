@@ -9,19 +9,21 @@ unordered class pair; a prediction eliminates one candidate per node, so
 six classes take exactly five evaluations).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptyClass, NoConvergence
-from .labels import StrokeLabel
+from .labels import N_CLASSES, StrokeLabel
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 10_000
 ALPHA_EPS = 1e-8
 TAU = 1e-12  # curvature floor for a non-positive-definite pair
+#: The DAG's pairwise models, one per unordered pair of stroke codes.
+PAIRS = list(combinations(range(N_CLASSES), 2))
 
 
 def gaussian_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -196,22 +198,20 @@ def train_pairwise_svm(
 
 @dataclass
 class DagSvmModel:
-    """All 15 pairwise models plus the candidate elimination order.
+    """The 15 pairwise models of the DAG over stroke codes 0-5.
 
-    ``models`` is keyed by exactly the unordered pairs ``(a, b)``, a < b, of
-    ``class_order``, each model's ``class_pair`` is its key, and every pair
-    that keeps support vectors keeps them of one width (ValueError
-    otherwise)."""
+    ``models`` is keyed by exactly the pairs ``(a, b)``, a < b, of
+    :data:`PAIRS`, each model's ``class_pair`` is its key, and every pair
+    that keeps support vectors keeps them of one width, ``n_inputs``
+    (ValueError otherwise)."""
 
     models: Dict[Tuple[int, int], KernelSvmModel]
-    class_order: List[int] = field(default_factory=lambda: list(range(6)))
 
     def __post_init__(self):
-        expected = set(combinations(sorted(self.class_order), 2))
-        if set(self.models) != expected:
-            odd = sorted(set(self.models) ^ expected)
+        if set(self.models) != set(PAIRS):
+            odd = sorted(set(self.models) ^ set(PAIRS))
             raise ValueError(
-                f"need one pairwise model per pair of classes {self.class_order}; "
+                f"need one pairwise model per pair of codes 0-{N_CLASSES - 1}; "
                 f"pairs {odd} are missing or extra"
             )
         for pair, model in self.models.items():
@@ -225,21 +225,28 @@ class DagSvmModel:
                     f"pair {pair} keeps support vectors of width {width}, "
                     f"pair {kept[0][0]} of width {kept[0][1]}"
                 )
+        self.n_inputs: Optional[int] = kept[0][1] if kept else None
 
     def to_dict(self) -> dict:
         return {
             "type": "dagsvm",
-            "class_order": list(self.class_order),
+            "class_order": list(range(N_CLASSES)),
             "models": [m.to_dict() for _, m in sorted(self.models.items())],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DagSvmModel":
+        """Rejects with ValueError a ``class_order`` other than 0-5 and a
+        file that lists one pair twice."""
+        if d["class_order"] != list(range(N_CLASSES)):
+            raise ValueError(f"class_order must be 0-5 in order, got {d['class_order']}")
         models = {}
         for md in d["models"]:
             m = KernelSvmModel.from_dict(md)
+            if m.class_pair in models:
+                raise ValueError(f"pair {m.class_pair} is listed twice")
             models[m.class_pair] = m
-        return cls(models=models, class_order=[int(c) for c in d["class_order"]])
+        return cls(models=models)
 
 
 def train_dagsvm(
@@ -248,47 +255,31 @@ def train_dagsvm(
     c: float = 1.0,
     gamma: Optional[float] = None,
 ) -> DagSvmModel:
-    """Train one pairwise model per unordered pair of the six stroke
-    classes, all sharing one ``gamma``; ``c`` and ``gamma`` as in
-    :func:`train_pairwise_svm`."""
+    """Train one pairwise model per pair of :data:`PAIRS`, all sharing one
+    ``gamma``; ``c`` and ``gamma`` as in :func:`train_pairwise_svm`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    classes = [int(v) for v in StrokeLabel]
     if gamma is None:
         gamma = default_gamma(X)
-    models = {}
-    for idx_a, a in enumerate(classes):
-        for b_cls in classes[idx_a + 1 :]:
-            models[(a, b_cls)] = train_pairwise_svm(
-                X[y == a],
-                X[y == b_cls],
-                c=c,
-                gamma=gamma,
-                class_pair=(a, b_cls),
-            )
-    return DagSvmModel(models=models, class_order=classes)
+    return DagSvmModel(models={
+        (a, b): train_pairwise_svm(X[y == a], X[y == b], c=c, gamma=gamma, class_pair=(a, b))
+        for a, b in PAIRS
+    })
 
 
 def dag_predict(dag: DagSvmModel, x: np.ndarray, trace: bool = False):
-    """Walk the elimination DAG: test first-vs-last of the remaining
-    candidates and drop the loser until one label survives."""
-    candidates = list(dag.class_order)
+    """Walk the elimination DAG: the candidates are the codes ``lo..hi``;
+    test ``lo`` against ``hi`` and drop the loser until one code survives.
+    ``trace=True`` also returns the pairs tested."""
+    lo, hi = 0, N_CLASSES - 1
     evaluated = []
-    while len(candidates) > 1:
-        first, last = candidates[0], candidates[-1]
-        pair = (min(first, last), max(first, last))
-        model = dag.models[pair]
-        value = float(model.decision(x)[0])
-        evaluated.append(pair)
-        winner = model.class_pair[0] if value > 0 else model.class_pair[1]
-        if winner == first:
-            candidates.pop()
+    while lo < hi:
+        evaluated.append((lo, hi))
+        if dag.models[lo, hi].decision(x)[0] > 0:
+            hi -= 1
         else:
-            candidates.pop(0)
-    label = StrokeLabel(candidates[0])
-    if trace:
-        return label, evaluated
-    return label
+            lo += 1
+    return (StrokeLabel(lo), evaluated) if trace else StrokeLabel(lo)
 
 
 def dag_predict_batch(dag: DagSvmModel, X: np.ndarray) -> np.ndarray:

@@ -404,6 +404,11 @@ _CSV_CASES = {
                             ["report", "--predictions", "BAD", "--out", "OUT"]),
     "predictions-short-row": ("predictions.csv", 2, lambda _: "3", "expected 2 fields, got 1",
                               ["report", "--predictions", "BAD", "--out", "OUT"]),
+    "predictions-predicted-code": ("predictions.csv", 3, lambda _: "3,6",
+                                   "predicted code 6 outside 0..5",
+                                   ["report", "--predictions", "BAD", "--out", "OUT"]),
+    "predictions-true-code": ("predictions.csv", 2, lambda _: "-2,3", "true code -2 outside -1..5",
+                              ["report", "--predictions", "BAD", "--out", "OUT"]),
 }
 
 _JSON_CASES = {
@@ -437,6 +442,14 @@ _SHAPE_CASES = {
                                     "of width", _PREDICT),
     "dagsvm-class-pair": ("model.json", lambda d: d["models"][0].update(class_pair=[0, 9]),
                           "(0, 9)", _PREDICT),
+    "dagsvm-duplicate-pair": ("model.json",
+                              lambda d: d["models"].append(dict(d["models"][0], b=1e6)),
+                              "pair (0, 1) is listed twice", _PREDICT),
+    "dagsvm-class-order": ("model.json", lambda d: d.update(class_order=d["class_order"][::-1]),
+                           "class_order must be 0-5 in order", _PREDICT),
+    "mlp-output-width": ("mlp.json",
+                         lambda d: [r.append(0.0) for r in [*d["weights"][-1], d["biases"][-1]]],
+                         "needs 6 outputs", _PREDICT),
     "pca-zero-scale": ("pca.json", lambda d: d["scale"].__setitem__(0, 0.0),
                        "scale must be positive", _PREDICT_PCA),
     "pca-nan-mean": ("pca.json", lambda d: d["mean"].__setitem__(0, float("nan")),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,35 @@ class TestPrecisionRecallF:
             assert 0.0 <= f_measure(m, cls, alpha=alpha) <= 1.0
 
 
+def _per_class_loop_report(counts, alpha):
+    """The report as first written: one scalar TP/FP/FN pass per class for
+    the per-class rows and another for the macro averages."""
+    def scores(cls):
+        tp = int(counts[cls, cls])
+        fp = int(counts[:, cls].sum()) - tp
+        fn = int(counts[cls, :].sum()) - tp
+        den = 2 * tp + 2 * alpha * fn + 2 * (1 - alpha) * fp
+        return (tp / (tp + fp) if tp + fp else 0.0, tp / (tp + fn) if tp + fn else 0.0,
+                2 * tp / den if den else 0.0)
+
+    per_class = [dict(zip(("class", "precision", "recall", "f_measure"), (c, *scores(c))))
+                 for c in range(6)]
+    macro = {k: float(np.mean([scores(c)[i] for c in range(6)]))
+             for i, k in enumerate(("precision", "recall", "f_measure"))}
+    return {"alpha": alpha, "accuracy": ConfusionMatrix(counts).accuracy,
+            "matrix": counts.tolist(), "per_class": per_class, "macro": macro}
+
+
 class TestReports:
+    def test_report_equals_per_class_loop(self):
+        rng = np.random.default_rng(3)
+        for i in range(300):
+            counts = rng.integers(0, [3, 50, 10**6][i % 3], (6, 6)) * (rng.random((6, 6)) < 0.5)
+            alpha = [0.0, 1.0, 0.5, rng.random()][i % 4]
+            got = classification_report(ConfusionMatrix(counts), alpha)
+            assert json.dumps(got) == json.dumps(_per_class_loop_report(counts, alpha))
+            assert macro_scores(ConfusionMatrix(counts), alpha) == got["macro"]
+
     def test_macro_scores_keys_and_ranges(self):
         rng = np.random.default_rng(1)
         true = rng.integers(0, 6, 200)

@@ -200,7 +200,7 @@ class TestTraining:
 
 class TestSerialization:
     def test_round_trip(self):
-        model = _tiny_model(seed=13)
+        model = mlp_init(4, seed=13, hidden=[7, 5])
         again = MlpModel.from_dict(json.loads(json.dumps(model.to_dict())))
         x = np.arange(4.0)
         np.testing.assert_array_equal(mlp_forward(model, x), mlp_forward(again, x))
@@ -218,4 +218,9 @@ class TestSerialization:
         body = _tiny_model().to_dict()
         body[name][layer] = body[name][layer][:-1]
         with pytest.raises(ValueError, match=f"layer {layer}: .* do not chain"):
+            MlpModel.from_dict(body)
+
+    def test_output_width_must_be_six(self):
+        body = _tiny_model().to_dict()
+        with pytest.raises(ValueError, match=r"needs 6 outputs, got \(3,\)"):
             MlpModel.from_dict(body)

@@ -188,7 +188,53 @@ def _unanimous_dag(favored: int) -> DagSvmModel:
     return DagSvmModel(models=models)
 
 
+def _random_sign_dag(seed: int) -> DagSvmModel:
+    """A DAG of bias-only pairs with seeded random signs: preferences that
+    need not be transitive."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=15)
+    dag = _unanimous_dag(0)
+    for (_, model), sign in zip(sorted(dag.models.items()), signs):
+        model.b = sign
+    return dag
+
+
+def _list_pop_walk(dag: DagSvmModel, x: np.ndarray):
+    """The DAG walk as first written: test the first and last remaining
+    candidates and pop the loser."""
+    candidates = list(range(6))
+    evaluated = []
+    while len(candidates) > 1:
+        first, last = candidates[0], candidates[-1]
+        pair = (min(first, last), max(first, last))
+        model = dag.models[pair]
+        value = float(model.decision(x)[0])
+        evaluated.append(pair)
+        winner = model.class_pair[0] if value > 0 else model.class_pair[1]
+        if winner == first:
+            candidates.pop()
+        else:
+            candidates.pop(0)
+    return StrokeLabel(candidates[0]), evaluated
+
+
 class TestDag:
+    def test_walk_matches_list_pop_walk(self):
+        x = np.zeros(2)
+        paths = set()
+        for seed in range(200):
+            dag = _random_sign_dag(seed)
+            label, trace = dag_predict(dag, x, trace=True)
+            assert (label, trace) == _list_pop_walk(dag, x)
+            assert dag_predict(dag, x) == label
+            paths.add((label, *trace))
+        assert len(paths) == 32
+
+    def test_n_inputs_is_the_kept_width(self):
+        models = dict(_unanimous_dag(0).models)
+        assert DagSvmModel(models=models).n_inputs is None
+        models[(2, 4)] = KernelSvmModel(np.zeros((1, 3)), np.ones(1), 0.0, 1.0, 1.0, (2, 4))
+        assert DagSvmModel(models=models).n_inputs == 3
+
     def test_unanimous_preference_wins(self):
         x = np.zeros(2)
         for favored in range(6):
