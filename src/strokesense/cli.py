@@ -256,14 +256,14 @@ def _cmd_train(args):
 
     if args.model == "dagsvm":
         model = train_dagsvm(Z[train_idx], y[train_idx], c=args.svm_c, gamma=args.gamma)
-        predicted = dag_predict_batch(model, Z[test_idx]) if len(test_idx) else np.array([])
+        predicted = dag_predict_batch(model, Z[test_idx])
         payload = model.to_dict()
         run = {}
     else:
         net = mlp_init(Z.shape[1], seed=args.seed)
         data = [(Z[i], int(y[i])) for i in train_idx]
         net = mlp_train(net, data, lr=args.lr, epochs=args.epochs, seed=args.seed)
-        predicted = mlp_predict_batch(net, Z[test_idx]) if len(test_idx) else np.array([])
+        predicted = mlp_predict_batch(net, Z[test_idx])
         payload = net.to_dict()
         run = {"epochs": len(net.loss_history), "final_loss": net.loss_history[-1]}
 

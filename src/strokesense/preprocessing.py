@@ -19,6 +19,7 @@ SIGMA_EPS_SCALE = 1e-12  # degenerate-spread guard for outlier removal
 DEFAULT_K0 = 0.3
 DEFAULT_DELTA_A_FRACTION = 0.05  # of the channel's peak-valley span
 FILL_SUPPORT = 4  # known samples behind each cubic Newton fill
+_HOLD_BLOCK = 32  # inputs per block that the smoother may pass over at once
 
 
 def diff_stats(values) -> Tuple[float, float]:
@@ -55,20 +56,6 @@ def remove_outliers(values) -> np.ndarray:
     return present
 
 
-def _divided_difference_fill(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
-    """Evaluate the Newton interpolating polynomial through (xs, ys) at x."""
-    n = len(xs)
-    coeffs = ys.astype(float).copy()
-    for order in range(1, n):
-        for i in range(n - 1, order - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - order])
-    # Horner evaluation of the Newton form
-    result = coeffs[-1]
-    for i in range(n - 2, -1, -1):
-        result = result * (x - xs[i]) + coeffs[i]
-    return float(result)
-
-
 def newton_fill(values, positions, present) -> np.ndarray:
     """Fill every missing sample (``present`` False) with the cubic Newton
     interpolant built on its four nearest known samples; returns the
@@ -79,12 +66,15 @@ def newton_fill(values, positions, present) -> np.ndarray:
     filled left to right; earlier fills become usable support for later
     ones.  So when gap ``j`` is filled every sample left of it is known,
     and its four nearest supports lie among ``j-4 .. j-1`` and the first
-    four originally known samples right of ``j``.  One ``searchsorted``
-    over the known positions finds those candidates for all gaps, which
-    makes the fill O(gaps + n).  Ties on distance go to the lower index (a
-    stable sort of the candidates in index order).
+    four originally known samples right of ``j``.  Which four depends only
+    on the positions and the mask, so they are picked for all gaps at once
+    from a (gaps, 8) table of those candidates.  Ties on distance go to
+    the lower index (a stable sort of the candidates in index order).
+    Only the divided differences and their Horner evaluation then run gap
+    by gap, on Python floats (which round as float64 array elements do),
+    reading the fills of earlier gaps; the whole fill is O(gaps + n).
     """
-    values = np.array(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     positions = np.asarray(positions, dtype=float)
     present = np.asarray(present, dtype=bool)
     if not len(values) == len(positions) == len(present):
@@ -97,16 +87,37 @@ def newton_fill(values, positions, present) -> np.ndarray:
             f"need at least {FILL_SUPPORT} known samples, have {len(known_idx)}"
         )
     missing = np.nonzero(~present)[0]
-    right = np.searchsorted(known_idx, missing)
-    for j, r in zip(missing.tolist(), right.tolist()):
-        near = np.concatenate(
-            (np.arange(max(j - FILL_SUPPORT, 0), j), known_idx[r : r + FILL_SUPPORT])
-        )
-        order = np.argsort(np.abs(positions[near] - positions[j]), kind="stable")
-        picked = np.sort(near[order[:FILL_SUPPORT]])
-        xs, ys = positions[picked], values[picked]
-        values[j] = _divided_difference_fill(xs, ys, float(positions[j]))
-    return values
+    steps = np.arange(FILL_SUPPORT)
+    behind = missing[:, None] - FILL_SUPPORT + steps
+    ahead = np.searchsorted(known_idx, missing)[:, None] + steps
+    valid = np.hstack((behind >= 0, ahead < len(known_idx)))
+    cand = np.hstack((np.maximum(behind, 0), known_idx[np.minimum(ahead, len(known_idx) - 1)]))
+    # An invalid slot (before index 0, past the last known sample) reads
+    # NaN, which sorts after every distance, inf included.
+    dist = np.where(valid, np.abs(positions[cand] - positions[missing, None]), np.nan)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :FILL_SUPPORT]
+    picked = np.sort(np.take_along_axis(cand, nearest, axis=1), axis=1)
+    # Gap g reads its supports from a pool and writes its fill to pool[g];
+    # a support that was itself a gap reads that gap's slot.
+    gaps = len(missing)
+    slots = np.where(
+        present[picked],
+        gaps + np.arange(picked.size).reshape(picked.shape),
+        np.searchsorted(missing, picked),
+    )
+    pool = values[np.concatenate((missing, picked.ravel()))].tolist()
+    for g, x, (a, b, c, d), (x0, x1, x2, x3) in zip(
+        range(gaps), positions[missing].tolist(), slots.tolist(), positions[picked].tolist()
+    ):
+        y0, y1, y2, y3 = pool[a], pool[b], pool[c], pool[d]
+        # divided differences of orders 1, 2 and 3, each updated top down
+        y3, y2, y1 = (y3 - y2) / (x3 - x2), (y2 - y1) / (x2 - x1), (y1 - y0) / (x1 - x0)
+        y3, y2 = (y3 - y2) / (x3 - x1), (y2 - y1) / (x2 - x0)
+        y3 = (y3 - y2) / (x3 - x0)
+        pool[g] = ((y3 * (x - x2) + y2) * (x - x1) + y1) * (x - x0) + y0
+    filled = values.copy()
+    filled[missing] = pool[:gaps]
+    return filled
 
 
 def adaptive_filter(
@@ -119,24 +130,43 @@ def adaptive_filter(
     the step size D; when |D| exceeds the motion threshold the gain becomes
     (1 - delta_a/|D|) * k0 clamped to [0, k0], otherwise the output holds.
     The recurrence runs on plain Python floats, which round exactly as
-    float64 array elements do.
+    float64 array elements do.  Most samples hold, so the inputs are taken
+    in blocks of ``_HOLD_BLOCK``: with the output y fixed, D rounds
+    monotonically in the input (k0 >= 0), so when the block's smallest and
+    largest inputs both hold, every input does, and the block's outputs
+    are y.  A held output is 0*x + 1*y, which is y itself unless y is
+    +-0.0 (0.0 + -0.0 is 0.0), so no block is passed over while y == 0.
     """
     if not 0.0 <= k0 <= 1.0:
         raise ValueError(f"k0 must lie in [0, 1], got {k0}")
     if not 0 < delta_a < np.inf:
         raise ValueError(f"delta_a must be positive and finite, got {delta_a}")
-    xs = np.asarray(values, dtype=float).tolist()
+    values = np.asarray(values, dtype=float)
+    xs = values.tolist()
     hold = 1.0 - k0
     ys = xs[:1]
     y_prev = xs[0] if xs else None
-    for x in xs[1:]:
-        step = abs(k0 * x + hold * y_prev - y_prev)
-        if step > delta_a:
-            m = min(max((1.0 - delta_a / step) * k0, 0.0), k0)
-        else:
-            m = 0.0
-        y_prev = m * x + (1.0 - m) * y_prev
-        ys.append(y_prev)
+    starts = np.arange(1, len(xs), _HOLD_BLOCK)
+    lows = np.minimum.reduceat(values, starts).tolist()
+    highs = np.maximum.reduceat(values, starts).tolist()
+    for start, lo, hi in zip(starts.tolist(), lows, highs):
+        block = xs[start : start + _HOLD_BLOCK]
+        # <= fails on a NaN step, which then takes the step-by-step path
+        if (
+            y_prev != 0.0
+            and abs(k0 * lo + hold * y_prev - y_prev) <= delta_a
+            and abs(k0 * hi + hold * y_prev - y_prev) <= delta_a
+        ):
+            ys.extend([y_prev] * len(block))
+            continue
+        for x in block:
+            step = abs(k0 * x + hold * y_prev - y_prev)
+            if step > delta_a:
+                m = min(max((1.0 - delta_a / step) * k0, 0.0), k0)
+            else:
+                m = 0.0
+            y_prev = m * x + (1.0 - m) * y_prev
+            ys.append(y_prev)
     return np.array(ys, dtype=float)
 
 

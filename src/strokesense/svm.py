@@ -6,7 +6,8 @@ Information for Training Support Vector Machines" (JMLR 6, 2005), as in
 LIBSVM.  On top of it sit Gaussian-kernel pairwise models and the
 directed-acyclic-graph multi-class scheme (one pairwise model per
 unordered class pair; a prediction eliminates one candidate per node, so
-six classes take exactly five evaluations).
+six classes take exactly five evaluations).  A batch walks the DAG once:
+each of the 15 nodes evaluates its model on all the rows that reach it.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ ALPHA_EPS = 1e-8
 TAU = 1e-12  # curvature floor for a non-positive-definite pair
 #: The DAG's pairwise models, one per unordered pair of stroke codes.
 PAIRS = list(combinations(range(N_CLASSES), 2))
+_WIDEST_FIRST = sorted(PAIRS, key=lambda pair: pair[0] - pair[1])
 
 
 def gaussian_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -267,23 +269,37 @@ def train_dagsvm(
     })
 
 
+def _walk(dag: DagSvmModel, X: np.ndarray):
+    """Walk every row of X through the elimination DAG at once.
+
+    Each row's candidates are the codes ``lo..hi``; a node ``(lo, hi)``
+    tests ``lo`` against ``hi`` and drops ``hi`` on a positive decision,
+    else ``lo``.  The nodes are visited widest first, so a row reaches a
+    node only after all its earlier tests, and each node's ``decision``
+    runs once, on the rows that reach it.  Returns the surviving codes and
+    the nodes visited (for one row, exactly its five pairs in order)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    lo = np.zeros(len(X), dtype=int)
+    hi = np.full(len(X), N_CLASSES - 1)
+    visited = []
+    for a, b in _WIDEST_FIRST:
+        at = np.nonzero((lo == a) & (hi == b))[0]
+        if at.size:
+            visited.append((a, b))
+            wins = dag.models[a, b].decision(X[at]) > 0
+            hi[at[wins]] -= 1
+            lo[at[~wins]] += 1
+    return lo, visited
+
+
 def dag_predict(dag: DagSvmModel, x: np.ndarray, trace: bool = False):
-    """Walk the elimination DAG: the candidates are the codes ``lo..hi``;
-    test ``lo`` against ``hi`` and drop the loser until one code survives.
-    ``trace=True`` also returns the pairs tested."""
-    lo, hi = 0, N_CLASSES - 1
-    evaluated = []
-    while lo < hi:
-        evaluated.append((lo, hi))
-        if dag.models[lo, hi].decision(x)[0] > 0:
-            hi -= 1
-        else:
-            lo += 1
-    return (StrokeLabel(lo), evaluated) if trace else StrokeLabel(lo)
+    """The label of one sample; ``trace=True`` also returns the pairs
+    tested on its way through the DAG."""
+    lo, visited = _walk(dag, x)
+    label = StrokeLabel(int(lo[0]))
+    return (label, visited) if trace else label
 
 
 def dag_predict_batch(dag: DagSvmModel, X: np.ndarray) -> np.ndarray:
-    """Integer labels, one per row of X, each walked through the DAG on
-    its own."""
-    return np.array([int(dag_predict(dag, x)) for x in np.atleast_2d(X)], dtype=int)
-
+    """Integer labels, one per row of X, from one walk of the DAG."""
+    return _walk(dag, X)[0]

@@ -157,6 +157,22 @@ class TestPreprocess:
 
 
 class TestTrainPredictReport:
+    @pytest.mark.parametrize("model", ["dagsvm", "mlp"])
+    def test_no_test_split_reports_null_accuracy(self, pipeline, tmp_path, capsys, model):
+        code = run(
+            "train",
+            "--in", pipeline / "features.csv",
+            "--pca", pipeline / "pca.json",
+            "--out", tmp_path / "model.json",
+            "--model", model,
+            "--test-fraction", 0,
+            "--epochs", 1,
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["test_size"] == 0
+        assert summary["test_accuracy"] is None
+
     def test_full_chain(self, pipeline, tmp_path, capsys):
         model = tmp_path / "model.json"
         code = run(

@@ -1,6 +1,6 @@
 """Bit-equality of the ingest layer with the reference implementations in
-oracles.py: the CSV parser, the Newton gap fill and the full cleaning
-chain.  Every comparison is exact (no tolerance)."""
+oracles.py: the CSV parser, the Newton gap fill, the adaptive smoother and
+the full cleaning chain.  Every comparison is exact (no tolerance)."""
 
 import io
 
@@ -17,6 +17,7 @@ from strokesense.io import HEADER, parse_series, serialize_series
 from strokesense.preprocessing import (
     DEFAULT_DELTA_A_FRACTION,
     DEFAULT_K0,
+    adaptive_filter,
     newton_fill,
     preprocess_series,
     remove_outliers,
@@ -101,6 +102,66 @@ class TestNewtonFillOracle:
         if present.sum() < 4:
             present[rng.choice(n, 4, replace=False)] = True
         _assert_fill_matches(values, positions, present)
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "jittered"])
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [(100, 300)],  # one 200-sample run mid-series
+            [(0, 40)],
+            [(360, 400)],
+            [(0, 40), (360, 400)],
+            [(100, 110), (114, 130)],  # 4 known samples between the runs
+            [(100, 110), (115, 130)],  # 5 known samples between the runs
+        ],
+        ids=["mid-200", "head", "tail", "head-and-tail", "4-apart", "5-apart"],
+    )
+    def test_long_runs(self, runs, uniform):
+        rng = np.random.default_rng(len(runs) * 1000 + runs[0][0])
+        positions = np.arange(400.0) if uniform else np.cumsum(rng.uniform(0.5, 1.5, 400))
+        values = np.sin(positions / 15) + rng.normal(scale=0.1, size=400)
+        present = np.ones(400, dtype=bool)
+        for start, stop in runs:
+            present[start:stop] = False
+        _assert_fill_matches(values, positions, present)
+
+
+def _smoother_input(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "constant":
+        return np.full(n, 1.7)
+    if kind == "spike":  # long holds broken by one spike
+        x = 0.4 + rng.uniform(-0.01, 0.01, n)
+        x[n // 2] = 5.0
+        return x
+    return np.cumsum(rng.normal(scale=0.05, size=n))
+
+
+class TestAdaptiveFilterOracle:
+    @pytest.mark.parametrize("kind", ["constant", "spike", "random-walk"])
+    @pytest.mark.parametrize("k0", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
+    def test_bit_equal(self, n, k0, kind):
+        x = _smoother_input(kind, n)
+        np.testing.assert_array_equal(
+            adaptive_filter(x, k0, 0.1), reference_adaptive_filter(x, k0, 0.1)
+        )
+
+    @pytest.mark.parametrize("start", [-0.0, 0.0])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_held_signed_zero(self, start, sign):
+        # Every step is far below delta_a, so the output holds at +-0.0,
+        # and a held 0*x + 1*y takes its sign from the sum.
+        x = sign * np.random.default_rng(3).uniform(0.0, 1e-3, 70)
+        x[0] = start
+        got, want = adaptive_filter(x, 0.3, 0.1), reference_adaptive_filter(x, 0.3, 0.1)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_empty(self):
+        got = adaptive_filter([])
+        assert got.shape == (0,)
+        assert got.dtype == float
 
 
 class TestPreprocessSeriesOracle:

@@ -6,6 +6,7 @@ from strokesense.errors import EmptyClass, NoConvergence
 from strokesense.labels import IDLE, StrokeLabel
 from strokesense.preprocessing import preprocess_series
 from strokesense.svm import (
+    PAIRS,
     DagSvmModel,
     KernelSvmModel,
     dag_predict,
@@ -217,7 +218,38 @@ def _list_pop_walk(dag: DagSvmModel, x: np.ndarray):
     return StrokeLabel(candidates[0]), evaluated
 
 
+def _one_vector_dag(seed: int, width: int = 3) -> DagSvmModel:
+    """A DAG whose 15 pairs each keep one seeded random support vector with
+    coef +-1 and a seeded ``b`` of the other sign, so that each decision
+    changes sign with x."""
+    rng = np.random.default_rng(seed)
+    models = {}
+    for pair in PAIRS:
+        coef = rng.choice([-1.0, 1.0], size=1)
+        b = -float(coef[0]) * rng.uniform(0.1, 0.5)
+        models[pair] = KernelSvmModel(rng.normal(size=(1, width)), coef, b, 0.5, 1.0, pair)
+    return DagSvmModel(models=models)
+
+
 class TestDag:
+    def test_batch_walk_matches_list_pop_walk(self):
+        paths = set()
+        for seed in range(8):  # 8 DAGs x 250 rows
+            dag = _one_vector_dag(seed)
+            X = np.random.default_rng(100 + seed).normal(size=(250, 3))
+            batch = dag_predict_batch(dag, X)
+            for x, label in zip(X, batch):
+                want = _list_pop_walk(dag, x)
+                assert label == want[0]
+                assert dag_predict(dag, x, trace=True) == want
+                paths.add((want[0], *want[1]))
+        assert len(paths) == 32
+
+    def test_empty_batch(self):
+        labels = dag_predict_batch(_one_vector_dag(0), np.zeros((0, 3)))
+        assert labels.shape == (0,)
+        assert labels.dtype.kind == "i"
+
     def test_walk_matches_list_pop_walk(self):
         x = np.zeros(2)
         paths = set()
