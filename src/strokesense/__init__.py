@@ -36,7 +36,6 @@ from .svm import (
 from .synth import GenConfig, generate, stroke_windows
 from .windows import (
     MotionWindow,
-    activation_features,
     activation_matrix,
     is_active,
     slide_windows,

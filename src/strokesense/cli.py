@@ -314,11 +314,15 @@ def _cmd_evaluate(args):
         )
         return
     profile = _load_json(args.profile, StandardProfile.from_dict)
+    if args.stroke and wanted != profile.stroke:
+        raise StrokeSenseError(
+            f"--stroke {wanted.name}, but {args.profile} is a {profile.stroke.name} profile"
+        )
     windows = [w for w in windows if w.label in (None, profile.stroke)]
     weights = ahp_weights(REFERENCE_AHP_MATRIX)
     reports = [score_window(w, profile, weights=weights) for w in windows]
     totals = [rep.total for rep in reports]
-    rows = ([rep.stroke.name, *map(repr, rep.q.tolist()), repr(rep.total)] for rep in reports)
+    rows = ([profile.stroke.name, *map(repr, rep.q.tolist()), repr(rep.total)] for rep in reports)
     _write_csv(args.out, ["stroke", "Q1", "Q2", "Q3", "Q4", "Q5", "Q"], rows)
     mean_q = float(np.mean(totals)) if totals else None
     _summary(command="evaluate", mode="score", windows=len(totals), mean_q=mean_q, out=args.out)

@@ -93,13 +93,11 @@ def ahp_weights(a) -> np.ndarray:
     positive scaling of the matrix.
     """
     a = np.asarray(a, dtype=float)
-    _check_reciprocal(a)
-    weights = (a / a.sum(axis=0)).mean(axis=1)
-    weights = weights / weights.sum()
-    _, _, cr = consistency(a)
+    _, _, cr = consistency(a)  # validates the matrix
     if cr > 0.1:
         warnings.warn(f"comparison matrix consistency ratio {cr:.3f} exceeds 0.1")
-    return weights
+    weights = (a / a.sum(axis=0)).mean(axis=1)
+    return weights / weights.sum()
 
 
 # --- per-window indicator values ------------------------------------------
@@ -149,11 +147,6 @@ def indicator_matrix(windows: Sequence[MotionWindow]) -> np.ndarray:
     axes: mean |acc| per axis; acc-direction angles; mean |v| per axis;
     velocity-direction angles; window-mean Euler angles."""
     return block_rows(_indicator_block, windows, N_INDICATORS)
-
-
-def indicator_values(window: MotionWindow) -> np.ndarray:
-    """The 15 indicator values of one window."""
-    return indicator_matrix([window])[0]
 
 
 # --- reference profiles ---------------------------------------------------
@@ -258,17 +251,6 @@ def indicator_scores(values: np.ndarray, profile: StandardProfile) -> np.ndarray
     return out
 
 
-def level_scores(window: MotionWindow, profile: StandardProfile) -> np.ndarray:
-    """Five level scores: each level averages its three axis indicators
-    with equal weight."""
-    if window.label is not None and window.label != profile.stroke:
-        raise MixedLabels(
-            f"window labeled {window.label.name}, profile is {profile.stroke.name}"
-        )
-    scores = indicator_scores(indicator_values(window), profile)
-    return scores.reshape(N_LEVELS, 3).mean(axis=1)
-
-
 def total_score(q: Sequence[float], k: Sequence[float]) -> float:
     """Weighted sum of the five level scores.
 
@@ -288,9 +270,8 @@ def total_score(q: Sequence[float], k: Sequence[float]) -> float:
 
 @dataclass
 class ScoreReport:
-    """Per-window scoring result."""
+    """Per-window scoring result: the five level scores and their total."""
 
-    stroke: StrokeLabel
     q: np.ndarray
     total: float
 
@@ -300,8 +281,16 @@ def score_window(
     profile: StandardProfile,
     weights: Optional[np.ndarray] = None,
 ) -> ScoreReport:
-    """Score one window against a reference profile."""
+    """Score one window against a reference profile.  Each level score
+    averages its three axis indicator scores with equal weight; the total
+    weighs the levels by ``weights``, the reference AHP weights by
+    default.  A window labeled with another stroke raises MixedLabels."""
+    if window.label is not None and window.label != profile.stroke:
+        raise MixedLabels(
+            f"window labeled {window.label.name}, profile is {profile.stroke.name}"
+        )
     if weights is None:
         weights = ahp_weights(REFERENCE_AHP_MATRIX)
-    q = level_scores(window, profile)
-    return ScoreReport(stroke=profile.stroke, q=q, total=total_score(q, weights))
+    scores = indicator_scores(indicator_matrix([window])[0], profile)
+    q = scores.reshape(N_LEVELS, 3).mean(axis=1)
+    return ScoreReport(q, total_score(q, weights))

@@ -138,7 +138,8 @@ class KernelSvmModel:
         """Rejects with ValueError support vectors that are not a 2-D table
         (``[]`` stands for none), a model with one coefficient too many or
         too few for its support vectors, or with a non-finite support
-        vector, coefficient, ``b`` or ``gamma``."""
+        vector, coefficient, ``b`` or ``gamma``, or a ``gamma`` that is not
+        positive, as training does."""
         model = cls(
             support_vectors=np.array(d["support_vectors"], dtype=float),
             coef=np.array(d["coef"], dtype=float),
@@ -160,6 +161,8 @@ class KernelSvmModel:
         for name in ("support_vectors", "coef", "b", "gamma"):
             if not np.isfinite(getattr(model, name)).all():
                 raise ValueError(f"pair {model.class_pair}: {name} must be finite")
+        if model.gamma <= 0:
+            raise ValueError(f"pair {model.class_pair}: gamma must be positive, got {model.gamma}")
         return model
 
 

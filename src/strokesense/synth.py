@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import BadConfig
-from .io import SensorSeries
+from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
 from .labels import IDLE, StrokeLabel
 from .windows import MotionWindow
 
@@ -29,7 +29,7 @@ class GenConfig:
     dropout_rate: float = 0.0  # per-sample probability
     idle_fraction: float = 0.3  # fraction of the timeline
     period: float = 2.0  # seconds per stroke
-    sample_period: float = 0.01
+    sample_period: float = DEFAULT_PERIOD
 
     def __post_init__(self):
         for name in ("noise_sigma", "spike_rate", "dropout_rate", "idle_fraction"):
@@ -88,7 +88,7 @@ CLASS_TEMPLATES = {
 }
 
 #: Per-channel phase ramp shared by all classes.
-CHANNEL_PHASE = np.arange(9) * (np.pi / 4)
+CHANNEL_PHASE = np.arange(N_CHANNELS) * (np.pi / 4)
 
 #: Per-channel amplitude reference (max over classes); noise and spike
 #: magnitudes scale against this.
@@ -119,7 +119,7 @@ def generate(cfg: GenConfig) -> Tuple[SensorSeries, List[Tuple[int, int, str]]]:
     if cfg.idle_fraction > 0:
         idle_len = int(round(width * cfg.idle_fraction / (1.0 - cfg.idle_fraction)))
 
-    idle_base = np.zeros(9)
+    idle_base = np.zeros(N_CHANNELS)
     idle_base[2] = GRAVITY
 
     blocks, truth, cursor = [], [], 0
@@ -142,7 +142,7 @@ def generate(cfg: GenConfig) -> Tuple[SensorSeries, List[Tuple[int, int, str]]]:
     if cfg.spike_rate > 0:
         hit = np.nonzero(rng.random(n) < cfg.spike_rate)[0]
         for i in hit:
-            ch = int(rng.integers(0, 9))
+            ch = int(rng.integers(0, N_CHANNELS))
             sign = 1.0 if rng.random() < 0.5 else -1.0
             values[i, ch] += sign * rng.uniform(10.0, 50.0) * REF_AMP[ch]
     keep = np.ones(n, dtype=bool)

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SingleClass, TooShort
-from .io import SensorSeries
+from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
 from .labels import StrokeLabel
 from .svm import smo_solve
 
@@ -37,13 +37,13 @@ class MotionWindow:
 
     start_index: int
     channels: np.ndarray  # (width, 9)
-    sample_period: float = 0.01
+    sample_period: float = DEFAULT_PERIOD
     label: Optional[StrokeLabel] = None
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=float)
-        if self.channels.ndim != 2 or self.channels.shape[1] != 9:
-            raise ValueError(f"expected (width, 9) channels, got {self.channels.shape}")
+        if self.channels.ndim != 2 or self.channels.shape[1] != N_CHANNELS:
+            raise ValueError(f"expected (width, {N_CHANNELS}) channels, got {self.channels.shape}")
 
     @property
     def width(self) -> int:
@@ -151,20 +151,12 @@ def activation_matrix(windows: Sequence[MotionWindow]) -> np.ndarray:
     return block_rows(_activation_block, windows, 6)
 
 
-def activation_features(window: MotionWindow) -> np.ndarray:
-    """The six activation markers of one window."""
-    return activation_matrix([window])[0]
-
-
 @dataclass
 class LinearSvmModel:
     """Linear soft-margin activation gate: active iff w.x + b > 0."""
 
     w: np.ndarray
     b: float
-
-    def decision(self, features: np.ndarray) -> float:
-        return float(np.dot(self.w, features) + self.b)
 
 
 def train_activation(labeled: Sequence[Tuple[MotionWindow, bool]]) -> LinearSvmModel:
@@ -192,4 +184,4 @@ def train_activation(labeled: Sequence[Tuple[MotionWindow, bool]]) -> LinearSvmM
 
 def is_active(window: MotionWindow, model: LinearSvmModel) -> bool:
     """Gate decision; an exactly-zero decision value counts as inactive."""
-    return model.decision(activation_features(window)) > 0
+    return float(np.dot(model.w, activation_matrix([window])[0]) + model.b) > 0

@@ -332,6 +332,20 @@ class TestEvaluate:
         assert "error:" in capsys.readouterr().err
         assert not scores.exists()
 
+    def test_profile_of_another_stroke_names_both(self, artifacts, tmp_path, capsys):
+        """A profile built for one stroke scores no window of another; asking
+        for that is a data error, not an empty scores.csv."""
+        scores = tmp_path / "scores.csv"
+        assert run("evaluate", "--in", artifacts / "data.csv", "--windows", artifacts / "windows.csv",
+                   "--stroke", "BACKHAND_CHOP", "--profile", artifacts / "profile.json",
+                   "--out", scores) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "--stroke BACKHAND_CHOP" in err
+        assert f"{artifacts / 'profile.json'} is a FOREHAND_ATTACK profile" in err
+        assert not scores.exists()
+
 
 class TestWindowSpans:
     def test_csv_round_trip(self, tmp_path):
@@ -478,6 +492,10 @@ _SHAPE_CASES = {
                           "b must be finite", _PREDICT),
     "dagsvm-nan-gamma": ("model.json", lambda d: d["models"][0].update(gamma=float("nan")),
                          "gamma must be finite", _PREDICT),
+    "dagsvm-zero-gamma": ("model.json", lambda d: d["models"][2].update(gamma=0.0),
+                          "pair (0, 3): gamma must be positive, got 0.0", _PREDICT),
+    "dagsvm-negative-gamma": ("model.json", lambda d: d["models"][2].update(gamma=-1.0),
+                              "pair (0, 3): gamma must be positive, got -1.0", _PREDICT),
 }
 
 

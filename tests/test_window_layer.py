@@ -1,7 +1,8 @@
 """The batched window layer against the one-window-at-a-time reference
 implementations in oracles.py (features, channel statistics, activation
 markers, scoring indicators, pooled profiles), block edges, degenerate
-windows, and a session whose gate keeps no window.
+windows, the one-window gate decision as a row of the batched markers, and
+a session whose gate keeps no window.
 
 Every equality is exact (np.array_equal) except four of the 15 channel
 statistics, :data:`ROUNDED_STATS`.  The reference raises to powers
@@ -30,19 +31,19 @@ from strokesense.features import (
     window_features,
 )
 from strokesense.io import SensorSeries
-from strokesense.labels import StrokeLabel
+from strokesense.labels import IDLE, StrokeLabel
 from strokesense.mlp import mlp_init, mlp_predict_batch, mlp_train
 from strokesense.pca import fit_pca, transform
 from strokesense.preprocessing import preprocess_series
-from strokesense.scoring import N_INDICATORS, build_profile, indicator_matrix, indicator_values
+from strokesense.scoring import N_INDICATORS, build_profile, indicator_matrix
 from strokesense.svm import dag_predict_batch, train_dagsvm
 from strokesense.synth import GenConfig, generate, stroke_windows
 from strokesense.windows import (
     _BLOCK,
     MotionWindow,
-    activation_features,
     activation_matrix,
     is_active,
+    majority_labels,
     slide_windows,
     train_activation,
 )
@@ -53,14 +54,11 @@ FAULTY_SEEDS = [1, 2, 3]
 ROUNDED_STATS = ["margin", "kurtosis_factor", "skewness", "kurtosis"]
 ROUNDED = np.isin(STAT_NAMES, ROUNDED_STATS)
 
-#: (batched function, per-window function, reference, rounded-column mask)
+#: (batched function, reference, rounded-column mask)
 LAYERS = [
-    (feature_matrix, window_features, reference_window_features,
-     np.tile(ROUNDED, len(CHANNEL_NAMES))),
-    (activation_matrix, activation_features, reference_activation_features,
-     np.zeros(6, dtype=bool)),
-    (indicator_matrix, indicator_values, reference_indicator_values,
-     np.zeros(N_INDICATORS, dtype=bool)),
+    (feature_matrix, reference_window_features, np.tile(ROUNDED, len(CHANNEL_NAMES))),
+    (activation_matrix, reference_activation_features, np.zeros(6, dtype=bool)),
+    (indicator_matrix, reference_indicator_values, np.zeros(N_INDICATORS, dtype=bool)),
 ]
 LAYER_IDS = ["features", "activation", "indicators"]
 
@@ -71,9 +69,10 @@ def _faulty(seed):
 
 
 @pytest.fixture(scope="module", params=FAULTY_SEEDS)
-def faulty_windows(request):
-    series, _ = _faulty(request.param)
-    return slide_windows(preprocess_series(series))
+def faulty_session(request):
+    """(grid windows of the cleaned faulty corpus, its truth spans)"""
+    series, truth = _faulty(request.param)
+    return slide_windows(preprocess_series(series)), truth
 
 
 def _degenerate_windows():
@@ -104,22 +103,23 @@ def assert_matches(got, want, rounded):
     np.testing.assert_allclose(got[..., rounded], want[..., rounded], rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.parametrize("batched, single, reference, rounded", LAYERS, ids=LAYER_IDS)
+@pytest.mark.parametrize("batched, reference, rounded", LAYERS, ids=LAYER_IDS)
 class TestAgainstReference:
-    def test_faulty_corpus(self, faulty_windows, batched, single, reference, rounded):
+    def test_faulty_corpus(self, faulty_session, batched, reference, rounded):
+        faulty_windows, _ = faulty_session
         want = np.array([reference(w) for w in faulty_windows])
         got = batched(faulty_windows)
         assert got.shape == (len(faulty_windows), len(rounded))
         assert_matches(got, want, rounded)
-        assert all(np.array_equal(single(w), g) for w, g in zip(faulty_windows, got))
+        # a window's row does not depend on the block it was computed in
+        assert all(np.array_equal(batched([w])[0], g) for w, g in zip(faulty_windows, got))
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
-    def test_degenerate_window(self, name, batched, single, reference, rounded):
+    def test_degenerate_window(self, name, batched, reference, rounded):
         window = MotionWindow(0, DEGENERATE[name])
-        assert_matches(single(window), reference(window), rounded)
         assert_matches(batched([window]), reference(window)[None], rounded)
 
-    def test_mixed_widths_keep_order(self, batched, single, reference, rounded):
+    def test_mixed_widths_keep_order(self, batched, reference, rounded):
         rng = np.random.default_rng(5)
         windows = [MotionWindow(0, DEGENERATE[name]) for name in sorted(DEGENERATE)]
         windows += [MotionWindow(0, rng.normal(size=(200, 9)), sample_period=0.02)]
@@ -127,12 +127,12 @@ class TestAgainstReference:
         assert_matches(batched(windows), np.array([reference(w) for w in windows]), rounded)
 
     @pytest.mark.parametrize("m", [1, _BLOCK, _BLOCK + 1])
-    def test_block_edges(self, m, batched, single, reference, rounded):
+    def test_block_edges(self, m, batched, reference, rounded):
         rng = np.random.default_rng(m)
         windows = [MotionWindow(0, rng.normal(scale=3.0, size=(200, 9))) for _ in range(m)]
         assert_matches(batched(windows), np.array([reference(w) for w in windows]), rounded)
 
-    def test_no_windows(self, batched, single, reference, rounded):
+    def test_no_windows(self, batched, reference, rounded):
         assert batched([]).shape == (0, len(rounded))
 
 
@@ -149,6 +149,17 @@ class TestChannelStatsReference:
         for n in (2, 3, 8, 9, 127, 128, 129, 200, 1000):
             x, pair = rng.normal(scale=4.0, size=(2, n))
             assert_matches(channel_stats(x, pair), reference_channel_stats(x, pair), ROUNDED)
+
+
+def test_gate_is_one_row_of_the_activation_matrix(faulty_session):
+    """``is_active`` on each window decides as the gate's linear function
+    does on that window's row of one batched activation matrix."""
+    windows, truth = faulty_session
+    labels = majority_labels([w.start_index for w in windows], windows[0].width, truth)
+    gate = train_activation([(w, label not in ("", IDLE)) for w, label in zip(windows, labels)])
+    want = [bool(np.dot(gate.w, row) + gate.b > 0) for row in activation_matrix(windows)]
+    assert [is_active(w, gate) for w in windows] == want
+    assert 0 < sum(want) < len(want)
 
 
 def test_one_row_window_too_short():

@@ -11,7 +11,7 @@ from strokesense.synth import GenConfig, generate
 from strokesense.windows import (
     LinearSvmModel,
     MotionWindow,
-    activation_features,
+    activation_matrix,
     is_active,
     majority_labels,
     slide_windows,
@@ -56,20 +56,20 @@ class TestSlideWindows:
 class TestActivationFeatures:
     def test_zero_window(self):
         w = MotionWindow(0, np.zeros((200, 9)))
-        np.testing.assert_array_equal(activation_features(w), np.zeros(6))
+        np.testing.assert_array_equal(activation_matrix([w])[0], np.zeros(6))
 
     def test_constant_acc_magnitude(self):
         channels = np.zeros((200, 9))
         channels[:, 0:3] = [3.0, 4.0, 0.0]
-        feats = activation_features(MotionWindow(0, channels))
+        feats = activation_matrix([MotionWindow(0, channels)])[0]
         np.testing.assert_allclose(feats, [5.0, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_stroke_dominates_idle(self, small_corpus):
         windows, series, truth = small_corpus
-        stroke = activation_features(windows[0])
+        stroke = activation_matrix([windows[0]])[0]
         idle_span = next((s, e) for s, e, lab in truth if lab == IDLE)
         idle = MotionWindow(0, series.channels[idle_span[0] : idle_span[0] + 80])
-        idle_feats = activation_features(idle)
+        idle_feats = activation_matrix([idle])[0]
         assert stroke[0] > idle_feats[0] and stroke[1] > idle_feats[1]
         assert stroke[4] > idle_feats[4]
 
