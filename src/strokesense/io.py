@@ -3,11 +3,13 @@
 Canonical text format: a header line ``t,ax,ay,az,gx,gy,gz,rx,ry,rz``
 followed by one row of 10 decimal fields per sample.  Lines starting with
 ``#`` are comments; ``# period=<seconds>`` overrides the nominal sample
-period (default 0.01 s).  Units: acceleration m/s^2, angular rate deg/s,
-orientation deg (Euler).
+period (default 0.01 s).  Any line break ``str.splitlines()`` knows ends a
+line, and a UTF-8 byte-order mark in front of the text is ignored.  Units:
+acceleration m/s^2, angular rate deg/s, orientation deg (Euler).
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Union
 
 import numpy as np
@@ -17,6 +19,10 @@ from .errors import EmptyInput, MalformedRow, NonMonotonicTime
 HEADER = "t,ax,ay,az,gx,gy,gz,rx,ry,rz"
 DEFAULT_PERIOD = 0.01
 N_CHANNELS = 9
+#: Characters of text split into lines at a time while parsing.
+_CHUNK = 1 << 18
+#: Rows formatted into one string at a time while serializing.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -85,50 +91,95 @@ def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
     """Parse the canonical CSV layout into a :class:`SensorSeries`.
 
     ``source`` may be the whole text, an iterable of lines, or an open
-    text file.  The data rows are converted in one ``np.loadtxt`` call,
-    which rounds exactly as ``float()`` does.  Input it does not take
-    cleanly (a bad field, field count or period directive, a ``#`` in a
-    row, a non-finite value) is re-read row by row, which accepts what
-    ``float()`` accepts and raises the error for the first bad line.
+    text file; one byte-order mark in front of the first line is dropped.
+    Text is split into lines as ``str.splitlines()`` splits it, a slice of
+    about ``_CHUNK`` characters at a time, and the data rows stream from
+    that scan into one ``np.loadtxt`` call, which rounds exactly as
+    ``float()`` does: beyond the text and the result, working memory is
+    one slice and its lines.  Input ``loadtxt`` does not take cleanly (a
+    bad field, field count or period directive, a ``#`` in a row, a
+    non-finite value) is scanned again and read row by row, which accepts
+    what ``float()`` accepts and raises the error for the first bad line.
+    Any other source is made a list once, so that it can be scanned twice.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
-    period, linenos, data, error = DEFAULT_PERIOD, [], [], None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.replace(" ", "") == HEADER:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("period="):
-                try:
-                    period = float(body.split("=", 1)[1])
-                except ValueError:
-                    error = MalformedRow(
-                        f"line {lineno}: bad period directive {line!r}"
-                    )
-                    break
-            continue
-        linenos.append(lineno)
-        data.append(line)
-
+    if not isinstance(source, str):
+        source = list(source)
+    scan = _RowScan(source)
+    rows = iter(scan)
+    first = next(rows, None)
     table = None
-    if data and error is None:
+    if first is not None:  # loadtxt warns on empty input
         try:
-            table = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
+            table = np.loadtxt(
+                chain((first,), rows), delimiter=",", ndmin=2, comments=None
+            )
         except ValueError:
             pass
     if (
         table is None
+        or scan.error is not None
         or table.shape[1] != 10
         or not np.isfinite(table).all()
     ):
-        rows = [_parse_row(lineno, line) for lineno, line in zip(linenos, data)]
-        if error is not None:
-            raise error
-        if not rows:
+        scan = _RowScan(source)
+        values = [_parse_row(scan.lineno, line) for line in scan]
+        if scan.error is not None:
+            raise scan.error
+        if not values:
             raise EmptyInput("no data rows in input")
-        table = np.array(rows)
-    return SensorSeries(table[:, 0], table[:, 1:], sample_period=period)
+        table = np.array(values)
+    return SensorSeries(table[:, 0], table[:, 1:], sample_period=scan.period)
+
+
+class _RowScan:
+    """One pass over the data rows of a source, each stripped.
+
+    Iterating yields every row and sets ``lineno`` to its line number.
+    Blank, header and comment lines are skipped; a ``# period=`` directive
+    sets ``period``, and a bad one sets ``error`` and ends the scan.
+    """
+
+    def __init__(self, source: Union[str, list]):
+        self.source = source
+        self.lineno = 0
+        self.period = DEFAULT_PERIOD
+        self.error = None
+
+    def __iter__(self):
+        lines = chain.from_iterable(_line_blocks(self.source))
+        for lineno, raw in enumerate(lines, start=1):
+            if lineno == 1:
+                raw = raw.removeprefix("\ufeff")
+            line = raw.strip()
+            if not line or line.replace(" ", "") == HEADER:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("period="):
+                    try:
+                        self.period = float(body.split("=", 1)[1])
+                    except ValueError:
+                        self.error = MalformedRow(
+                            f"line {lineno}: bad period directive {line!r}"
+                        )
+                        return
+                continue
+            self.lineno = lineno
+            yield line
+
+
+def _line_blocks(source: Union[str, list]):
+    """Yield the lines of ``source`` in blocks: text as ``splitlines()``
+    of slices of about ``_CHUNK`` characters, each cut just after a
+    ``"\\n"`` so that no line break spans two slices; a list as itself."""
+    if not isinstance(source, str):
+        yield source
+        return
+    start, end = 0, len(source)
+    while start < end:
+        cut = source.find("\n", start + _CHUNK) + 1 or end
+        yield source[start:cut].splitlines()
+        start = cut
 
 
 def _parse_row(lineno: int, line: str) -> list:
@@ -146,12 +197,19 @@ def _parse_row(lineno: int, line: str) -> list:
 
 def serialize_series(series: SensorSeries) -> str:
     """Emit the canonical CSV text; round-trips bit-exactly through
-    :func:`parse_series` (shortest-repr decimal output)."""
-    table = np.column_stack([series.t, series.channels])
-    out = [f"# period={series.sample_period!r}", HEADER]
-    # row by row: one tolist() of the whole table raises peak memory ~13 MB at 34k rows
-    out += [",".join(map(repr, row.tolist())) for row in table]
-    return "\n".join(out) + "\n"
+    :func:`parse_series` (shortest-repr decimal output).
+
+    Rows are formatted ``_BLOCK`` at a time into one string each, and the
+    result is those strings joined: beyond it, working memory is the
+    block strings (about the size of the text) and one block's rows.
+    """
+    t, channels = series.t, series.channels
+    parts = [f"# period={series.sample_period!r}\n{HEADER}\n"]
+    for start in range(0, len(t), _BLOCK):
+        stop = start + _BLOCK
+        rows = np.column_stack([t[start:stop], channels[start:stop]]).tolist()
+        parts.append("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
+    return "".join(parts)
 
 
 def validate_series(series: SensorSeries) -> list:

@@ -1,8 +1,14 @@
+import gc
+import tracemalloc
+import warnings
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strokesense.io as sio
 from strokesense.errors import EmptyInput, MalformedRow, NonMonotonicTime
 from strokesense.io import (
     HEADER,
@@ -11,6 +17,7 @@ from strokesense.io import (
     serialize_series,
     validate_series,
 )
+from strokesense.synth import GenConfig, generate
 
 
 def _csv(rows, header=True, extra=()):
@@ -64,6 +71,21 @@ class TestParse:
         text = _csv([_row(0.0), _row(0.01)], extra=["# a comment"])
         assert len(parse_series(text)) == 2
 
+    def test_byte_order_mark_dropped(self):
+        text = _csv([_row(0.0), _row(0.01)], extra=["# period=0.01"])
+        assert parse_series("\ufeff" + text) == parse_series(text)
+        assert parse_series("\ufeff" + "\n".join(text.splitlines()[2:])) == parse_series(text)
+
+    def test_byte_order_mark_elsewhere_rejected(self):
+        text = _csv([_row(0.0), _row(0.01)])
+        with pytest.raises(MalformedRow) as err:
+            parse_series("\ufeff\ufeff" + text)
+        assert str(err.value) == "line 1: non-numeric field in " + repr("\ufeff" + HEADER)
+        lines = text.splitlines()
+        lines[2] = "\ufeff" + lines[2]
+        with pytest.raises(MalformedRow, match="^line 3: non-numeric field in "):
+            parse_series("\n".join(lines))
+
 
 class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
@@ -80,6 +102,179 @@ class TestRoundTrip:
         assert np.array_equal(series.t, again.t)
         assert np.array_equal(series.channels, again.channels)
         assert series.sample_period == again.sample_period
+
+
+#: A few dozen characters: every text below is split in several slices.
+SMALL_CHUNK = 40
+
+#: (t, ax) of the rows of ``_series_text``; the other channels are ``ax + k``.
+ROWS = [(round(0.01 * k, 2), k * 0.5 - 1.0) for k in range(8)]
+
+
+def _data_line(t, a):
+    return ",".join(repr(v) for v in [t] + [a + k for k in range(9)])
+
+
+def _series_text(sep="\n", extra=(), every=3):
+    """HEADER and ROWS joined by ``sep``, with ``extra`` lines inserted
+    after every ``every`` rows."""
+    lines, extra = [HEADER], list(extra)
+    for k, row in enumerate(ROWS):
+        lines.append(_data_line(*row))
+        if extra and k % every == every - 1:
+            lines.append(extra.pop(0))
+    return sep.join(lines + extra) + sep
+
+
+def _expected(period=0.01):
+    t = [r[0] for r in ROWS]
+    channels = [[r[1] + k for k in range(9)] for r in ROWS]
+    return SensorSeries(t, channels, sample_period=period)
+
+
+def _line_of(text, needle):
+    return next(n for n, line in enumerate(text.splitlines(), start=1) if needle in line)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(sio, "_CHUNK", SMALL_CHUNK)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestChunkedScan:
+    """The text is split a slice at a time; rows, errors and line numbers
+    must be those of one ``splitlines()`` over the whole text."""
+
+    @pytest.mark.parametrize(
+        "sep", ["\n", "\r\n", "\r", "\x85", "\x0b", "\x0c", "\x1c", "\u2028"]
+    )
+    def test_line_separators(self, sep):
+        text = _series_text(sep)
+        blocks = list(sio._line_blocks(text))
+        assert list(chain.from_iterable(blocks)) == text.splitlines()
+        if "\n" in sep:
+            assert len(blocks) > 3
+        assert parse_series(text) == _expected()
+
+    def test_mixed_separators(self):
+        seps = ["\r\n", "\x85", "\n", "\r", "\u2029", "\n", "\x1e", "\n"]
+        lines = [HEADER] + [_data_line(*row) for row in ROWS]
+        text = "".join(line + sep for line, sep in zip(lines, seps + ["\n"]))
+        assert list(chain.from_iterable(sio._line_blocks(text))) == text.splitlines()
+        assert parse_series(text) == _expected()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab\r\n\x85\x0b\u2028", max_size=300), st.integers(1, 20))
+    def test_slices_split_as_splitlines(self, text, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sio, "_CHUNK", chunk)
+            assert list(chain.from_iterable(sio._line_blocks(text))) == text.splitlines()
+
+    def test_blank_lines_and_repeated_header(self):
+        spaced = "t, ax, ay, az, gx, gy, gz, rx, ry, rz"
+        text = _series_text(extra=["", "   ", HEADER, "\t", spaced], every=1)
+        assert parse_series(text) == _expected()
+
+    def test_late_period_directive_applies(self):
+        text = _series_text(extra=["", "", "# period=0.02"])
+        assert _line_of(text, "period") > 1 and text.index("period") > SMALL_CHUNK
+        assert parse_series(text) == _expected(period=0.02)
+
+    def test_late_bad_period_directive(self):
+        text = _series_text(extra=["", "", "# period=abc"])
+        lineno = _line_of(text, "period")
+        with pytest.raises(MalformedRow) as err:
+            parse_series(text)
+        assert str(err.value) == f"line {lineno}: bad period directive '# period=abc'"
+
+    def test_late_bad_row(self):
+        text = _series_text(extra=["", "", "0.5,1,2,3,4,5,6,7"])
+        lineno = _line_of(text, "0.5,1,2,3")
+        assert text.index("0.5,1,2,3") > 3 * SMALL_CHUNK
+        with pytest.raises(MalformedRow) as err:
+            parse_series(text)
+        assert str(err.value) == f"line {lineno}: expected 10 fields, got 8"
+
+    def test_late_comment_inside_row(self):
+        row = _data_line(*ROWS[-1]) + " # note"
+        text = _series_text().replace(_data_line(*ROWS[-1]), row)
+        lineno = _line_of(text, "# note")
+        with pytest.raises(MalformedRow) as err:
+            parse_series(text)
+        assert str(err.value) == f"line {lineno}: non-numeric field in {row!r}"
+
+    def test_row_error_before_bad_directive(self):
+        text = _series_text(extra=["", "0.5,1,2", "# period=abc"], every=2)
+        with pytest.raises(MalformedRow) as err:
+            parse_series(text)
+        assert str(err.value) == f"line {_line_of(text, '0.5,1,2')}: expected 10 fields, got 3"
+
+    def test_comments_only(self):
+        text = "\n".join(["# period=0.02", "# a comment", "", HEADER, "## note"] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInput, match="^no data rows in input$"):
+                parse_series(text)
+
+    def test_list_of_lines(self):
+        text = _series_text(extra=["# period=0.02"])
+        lines = text.splitlines()
+        assert parse_series(lines) == _expected(period=0.02)
+        assert parse_series(["\ufeff" + lines[0]] + lines[1:]) == _expected(period=0.02)
+        assert parse_series(iter(lines)) == _expected(period=0.02)
+
+    def test_iterator_falls_back(self):
+        # "-1_0.0" is a field float() takes and loadtxt does not, so the
+        # lines are read a second time, row by row
+        lines = _series_text().splitlines()
+        lines[1] = lines[1].replace("-1.0", "-1_0.0", 1)
+        got = parse_series(iter(lines))
+        assert got.channels[0, 0] == -10.0
+        np.testing.assert_array_equal(got.channels[1:], _expected().channels[1:])
+        np.testing.assert_array_equal(got.t, _expected().t)
+
+    def test_open_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\ufeff" + _series_text(extra=["# period=0.02"]), encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            assert parse_series(handle) == _expected(period=0.02)
+
+
+class TestMemoryBound:
+    """Working memory beyond the text and the result is a slice, not the input."""
+
+    @pytest.fixture(scope="class")
+    def faulty(self):
+        cfg = GenConfig(seed=1, strokes_per_class=20, spike_rate=0.002, dropout_rate=0.01)
+        series = generate(cfg)[0]
+        return series, serialize_series(series)
+
+    @staticmethod
+    def _transient(fn, arg):
+        """Peak traced bytes above the level before the call."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak - base
+
+    def test_parse(self, faulty):
+        series, text = faulty
+        result, transient = self._transient(parse_series, text)
+        assert result == series
+        assert transient <= 1.25 * len(text)
+
+    def test_serialize(self, faulty):
+        _, text = faulty
+        series = parse_series(text)
+        result, transient = self._transient(serialize_series, series)
+        assert result == text
+        assert transient <= 2.25 * len(text)
 
 
 class TestValidate:
