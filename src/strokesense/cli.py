@@ -70,9 +70,9 @@ def _load_json(path, convert):
     try:
         obj = json.loads(Path(path).read_text())
         if not isinstance(obj, dict):
-            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+            raise StrokeSenseError(f"expected a JSON object, got {type(obj).__name__}")
         return convert(obj)
-    except (StrokeSenseError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise StrokeSenseError(f"{path}: {exc}") from None
 
 
@@ -99,7 +99,7 @@ def _read_csv(path, convert):
 
 def _fields(fields, n):
     if len(fields) != n:
-        raise ValueError(f"expected {n} fields, got {len(fields)}")
+        raise StrokeSenseError(f"expected {n} fields, got {len(fields)}")
     return fields
 
 
@@ -118,7 +118,7 @@ def _feature_row(fields):
     row = [float(v) for v in values]
     if not all(map(math.isfinite, row)):
         name, v = next((n, v) for n, v in zip(FEATURE_NAMES, row) if not math.isfinite(v))
-        raise ValueError(f"feature {name} must be finite, got {v}")
+        raise StrokeSenseError(f"feature {name} must be finite, got {v}")
     return int(StrokeLabel.from_name(label)) if label else -1, row
 
 
@@ -134,9 +134,9 @@ def _prediction(fields):
     """A true code (-1 for an unlabelled row) and a predicted code."""
     true, pred = (int(v) for v in _fields(fields, 2))
     if not -1 <= true < N_CLASSES:
-        raise ValueError(f"true code {true} outside -1..{N_CLASSES - 1}")
+        raise StrokeSenseError(f"true code {true} outside -1..{N_CLASSES - 1}")
     if not 0 <= pred < N_CLASSES:
-        raise ValueError(f"predicted code {pred} outside 0..{N_CLASSES - 1}")
+        raise StrokeSenseError(f"predicted code {pred} outside 0..{N_CLASSES - 1}")
     return true, pred
 
 
@@ -144,7 +144,7 @@ def _classifier(payload):
     """The DAGSVM or MLP a model file holds."""
     kind = {"dagsvm": DagSvmModel, "mlp": MlpModel}.get(payload.get("type"))
     if kind is None:
-        raise ValueError(f"unknown model type {payload.get('type')!r}")
+        raise StrokeSenseError(f"unknown model type {payload.get('type')!r}")
     return kind.from_dict(payload)
 
 
@@ -157,7 +157,7 @@ def _windows_from_files(data_path, windows_path):
     def window(fields):
         start, end, label = _span(fields)
         if not (0 <= start and start + 2 <= end <= len(series)):
-            raise ValueError(
+            raise StrokeSenseError(
                 f"span {start},{end} is not a run of at least 2 of the "
                 f"{len(series)} rows of {data_path}"
             )
@@ -235,7 +235,7 @@ def _cmd_fit_pca(args):
 
 def _split(n, test_fraction, seed):
     if not 0 <= test_fraction < 1:
-        raise ValueError(f"test fraction must lie in [0, 1), got {test_fraction}")
+        raise StrokeSenseError(f"test fraction must lie in [0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_test = int(round(n * test_fraction))
@@ -512,7 +512,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         args.func(args)
-    except (StrokeSenseError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

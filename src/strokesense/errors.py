@@ -1,91 +1,9 @@
-"""Exception hierarchy shared by all strokesense modules."""
+"""The library's error types: bad input of any kind, and a solver cap."""
 
 
-class StrokeSenseError(Exception):
-    """Base class for all library errors."""
-
-
-# --- ingest ---------------------------------------------------------------
-
-class MalformedRow(StrokeSenseError):
-    """A CSV row has the wrong column count or a non-numeric field."""
-
-
-class NonMonotonicTime(StrokeSenseError):
-    """Timestamps are not strictly increasing."""
-
-
-class EmptyInput(StrokeSenseError):
-    """No data rows were found."""
-
-
-# --- preprocessing / features --------------------------------------------
-
-class TooShort(StrokeSenseError):
-    """Series shorter than the minimum the operation needs."""
-
-
-class InsufficientSupport(StrokeSenseError):
-    """Fewer than four known samples available to interpolate a gap."""
-
-
-# --- classifiers ----------------------------------------------------------
-
-class SingleClass(StrokeSenseError):
-    """Training set contains only one class."""
-
-
-class EmptyClass(StrokeSenseError):
-    """One side of a pairwise training problem is empty."""
+class StrokeSenseError(ValueError):
+    """Bad input to any strokesense stage; the message names the cause."""
 
 
 class NoConvergence(StrokeSenseError):
     """Optimizer hit its iteration cap without satisfying KKT conditions."""
-
-
-class NonFinite(StrokeSenseError):
-    """NaN or infinity encountered where finite values are required."""
-
-
-class DimensionMismatch(StrokeSenseError):
-    """Input vector length does not match a model's expectation."""
-
-
-class DegenerateInput(StrokeSenseError):
-    """Not enough rows (or rank) for the requested decomposition."""
-
-
-# --- scoring --------------------------------------------------------------
-
-class NotReciprocal(StrokeSenseError):
-    """Pairwise comparison matrix is not positive-reciprocal."""
-
-
-class MixedLabels(StrokeSenseError):
-    """Reference windows carry more than one stroke label."""
-
-
-class TooFew(StrokeSenseError):
-    """Fewer reference windows than a profile needs."""
-
-
-class DegenerateRange(StrokeSenseError):
-    """Indicator range collapsed to zero width."""
-
-
-class BadWeights(StrokeSenseError):
-    """Level weights do not form a valid convex combination."""
-
-
-# --- metrics / generator --------------------------------------------------
-
-class LengthMismatch(StrokeSenseError):
-    """Paired label sequences differ in length."""
-
-
-class BadLabel(StrokeSenseError):
-    """Label code outside the six stroke classes."""
-
-
-class BadConfig(StrokeSenseError):
-    """Generator configuration violates its invariants."""

@@ -28,7 +28,7 @@ own.
 
 import numpy as np
 
-from .errors import TooShort
+from .errors import StrokeSenseError
 from .windows import MotionWindow, block_rows
 
 DEN_EPS = 1e-12
@@ -91,7 +91,7 @@ def _stats(x: np.ndarray, partner) -> np.ndarray:
     peak-valley span or RMS over mean-absolute-value denominators.
     """
     if x.shape[-1] < 2:
-        raise TooShort("need at least 2 samples per channel")
+        raise StrokeSenseError("need at least 2 samples per channel")
     mean = x.mean(axis=-1)
     centered = x - mean[..., None]
     c2 = centered * centered
@@ -132,7 +132,7 @@ def channel_stats(x, pair) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     pair = np.asarray(pair, dtype=float)
     if len(x) < 2 or len(pair) != len(x):
-        raise TooShort("need at least 2 samples and an equal-length pair channel")
+        raise StrokeSenseError("need at least 2 samples and an equal-length pair channel")
     return _stats(np.stack([x, pair])[None], [1, 0])[0, 0]
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedRow, NonMonotonicTime
+from .errors import StrokeSenseError
 
 HEADER = "t,ax,ay,az,gx,gy,gz,rx,ry,rz"
 DEFAULT_PERIOD = 0.01
@@ -46,18 +46,18 @@ class SensorSeries:
         t = np.asarray(t, dtype=float)
         channels = np.asarray(channels, dtype=float)
         if t.ndim != 1 or channels.shape != (t.shape[0], N_CHANNELS):
-            raise MalformedRow(
+            raise StrokeSenseError(
                 f"expected (n,) timestamps and (n, {N_CHANNELS}) channels, "
                 f"got {t.shape} and {channels.shape}"
             )
         if t.size == 0:
-            raise EmptyInput("series has no samples")
+            raise StrokeSenseError("series has no samples")
         if not (np.isfinite(t).all() and np.isfinite(channels).all()):
-            raise MalformedRow("non-finite sample value")
+            raise StrokeSenseError("non-finite sample value")
         if t.size > 1 and not (np.diff(t) > 0).all():
-            raise NonMonotonicTime("timestamps must be strictly increasing")
+            raise StrokeSenseError("timestamps must be strictly increasing")
         if not 0 < sample_period < np.inf:
-            raise MalformedRow(
+            raise StrokeSenseError(
                 f"sample_period must be positive and finite, got {sample_period}"
             )
         self._t = t.copy()
@@ -126,7 +126,7 @@ def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
         if scan.error is not None:
             raise scan.error
         if not values:
-            raise EmptyInput("no data rows in input")
+            raise StrokeSenseError("no data rows in input")
         table = np.array(values)
     return SensorSeries(table[:, 0], table[:, 1:], sample_period=scan.period)
 
@@ -159,7 +159,7 @@ class _RowScan:
                     try:
                         self.period = float(body.split("=", 1)[1])
                     except ValueError:
-                        self.error = MalformedRow(
+                        self.error = StrokeSenseError(
                             f"line {lineno}: bad period directive {line!r}"
                         )
                         return
@@ -185,13 +185,13 @@ def _line_blocks(source: Union[str, list]):
 def _parse_row(lineno: int, line: str) -> list:
     fields = line.split(",")
     if len(fields) != 10:
-        raise MalformedRow(f"line {lineno}: expected 10 fields, got {len(fields)}")
+        raise StrokeSenseError(f"line {lineno}: expected 10 fields, got {len(fields)}")
     try:
         values = [float(f) for f in fields]
     except ValueError:
-        raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
+        raise StrokeSenseError(f"line {lineno}: non-numeric field in {line!r}")
     if not all(np.isfinite(v) for v in values):
-        raise MalformedRow(f"line {lineno}: non-finite value")
+        raise StrokeSenseError(f"line {lineno}: non-finite value")
     return values
 
 

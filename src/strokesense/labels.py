@@ -2,6 +2,8 @@
 
 from enum import IntEnum
 
+from .errors import StrokeSenseError
+
 
 class StrokeLabel(IntEnum):
     FOREHAND_ATTACK = 0
@@ -16,7 +18,7 @@ class StrokeLabel(IntEnum):
         try:
             return cls[name.strip().upper()]
         except KeyError:
-            raise ValueError(f"unknown stroke label {name!r}") from None
+            raise StrokeSenseError(f"unknown stroke label {name!r}") from None
 
 
 #: Number of stroke classes.

@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadLabel, LengthMismatch
+from .errors import StrokeSenseError
 from .labels import N_CLASSES
 
 DEFAULT_ALPHA = 0.7
@@ -22,7 +22,7 @@ class ConfusionMatrix:
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=int)
         if self.counts.shape != (N_CLASSES, N_CLASSES) or (self.counts < 0).any():
-            raise ValueError("counts must be a non-negative 6x6 matrix")
+            raise StrokeSenseError("counts must be a non-negative 6x6 matrix")
 
     @property
     def accuracy(self) -> float:
@@ -34,10 +34,10 @@ def confusion(true_labels: Sequence[int], predicted_labels: Sequence[int]) -> Co
     true_labels = np.asarray(true_labels, dtype=int)
     predicted_labels = np.asarray(predicted_labels, dtype=int)
     if true_labels.shape != predicted_labels.shape:
-        raise LengthMismatch("label sequences differ in length")
+        raise StrokeSenseError("label sequences differ in length")
     for arr in (true_labels, predicted_labels):
         if arr.size and (((arr < 0) | (arr >= N_CLASSES)).any()):
-            raise BadLabel("label outside 0-5")
+            raise StrokeSenseError("label outside 0-5")
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
     np.add.at(counts, (true_labels, predicted_labels), 1)
     return ConfusionMatrix(counts)
@@ -51,7 +51,7 @@ def _class_scores(m: ConfusionMatrix, alpha: float = DEFAULT_ALPHA):
     """(6,) precision, recall and F arrays from the diagonal (TP), column
     sums (TP + FP) and row sums (TP + FN); 0 where a denominator is 0."""
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        raise StrokeSenseError(f"alpha must lie in [0, 1], got {alpha}")
     tp = np.diag(m.counts)
     fp = m.counts.sum(axis=0) - tp
     fn = m.counts.sum(axis=1) - tp
@@ -65,7 +65,7 @@ def _class_scores(m: ConfusionMatrix, alpha: float = DEFAULT_ALPHA):
 def precision_recall(m: ConfusionMatrix, cls: int) -> Tuple[float, float]:
     """Per-class precision and recall; empty column/row yields 0."""
     if not 0 <= cls < N_CLASSES:
-        raise BadLabel(f"class {cls} outside 0-5")
+        raise StrokeSenseError(f"class {cls} outside 0-5")
     p, r, _ = _class_scores(m)
     return float(p[cls]), float(r[cls])
 
@@ -74,7 +74,7 @@ def f_measure(m: ConfusionMatrix, cls: int, alpha: float = DEFAULT_ALPHA) -> flo
     """2TP / (2TP + 2*alpha*FN + 2*(1-alpha)*FP); empty denominator -> 0."""
     _, _, f = _class_scores(m, alpha)
     if not 0 <= cls < N_CLASSES:
-        raise BadLabel(f"class {cls} outside 0-5")
+        raise StrokeSenseError(f"class {cls} outside 0-5")
     return float(f[cls])
 
 

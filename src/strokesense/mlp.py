@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import StrokeSenseError
 from .labels import N_CLASSES
 
 DEFAULT_HIDDEN = (120, 120)
@@ -50,26 +50,26 @@ class MlpModel:
         """Only tanh hidden layers exist; a model file naming another
         activation, whose layer shapes do not chain, whose last layer is not
         ``N_CLASSES`` wide, or that holds a non-finite number, is rejected
-        with ValueError."""
+        with StrokeSenseError."""
         activation = d.get("activation", "tanh")
         if activation != "tanh":
-            raise ValueError(f"unsupported activation {activation!r}; only tanh exists")
+            raise StrokeSenseError(f"unsupported activation {activation!r}; only tanh exists")
         weights = [np.array(w, dtype=float) for w in d["weights"]]
         biases = [np.array(b, dtype=float) for b in d["biases"]]
         if not weights or len(biases) != len(weights):
-            raise ValueError(
+            raise StrokeSenseError(
                 f"need one bias per layer, got {len(weights)} layers, {len(biases)} biases"
             )
         for layer, (w, b) in enumerate(zip(weights, biases)):
             chained = layer == 0 or w.shape[:1] == biases[layer - 1].shape
             if w.ndim != 2 or b.shape != w.shape[1:] or not chained:
-                raise ValueError(
+                raise StrokeSenseError(
                     f"layer {layer}: weights {w.shape} and biases {b.shape} do not chain"
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {layer}: weights and biases must be finite")
+                raise StrokeSenseError(f"layer {layer}: weights and biases must be finite")
         if biases[-1].shape != (N_CLASSES,):
-            raise ValueError(f"the last layer needs {N_CLASSES} outputs, got {biases[-1].shape}")
+            raise StrokeSenseError(f"the last layer needs {N_CLASSES} outputs, got {biases[-1].shape}")
         return cls(weights=weights, biases=biases)
 
     def copy(self) -> "MlpModel":
@@ -87,7 +87,7 @@ def mlp_init(
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases; deterministic for a seed."""
     if k_in < 1:
-        raise ValueError("k_in must be at least 1")
+        raise StrokeSenseError("k_in must be at least 1")
     rng = np.random.default_rng(seed)
     sizes = [k_in, *hidden, n_out]
     weights, biases = [], []
@@ -120,7 +120,7 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities for one input vector (or a batch)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.n_inputs:
-        raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {x.shape[-1]}")
+        raise StrokeSenseError(f"expected {model.n_inputs} inputs, got {x.shape[-1]}")
     _, probs = _forward_pass(model, x)
     return probs
 
@@ -161,18 +161,18 @@ def mlp_train(
     Returns a trained copy; per-epoch mean losses land in
     ``model.loss_history``.  Stops early once the mean epoch loss improves
     by less than ``early_stop_tol``.  ``lr`` must be positive and finite and
-    ``epochs`` at least 1 (ValueError otherwise).
+    ``epochs`` at least 1 (StrokeSenseError otherwise).
     """
     if not data:
-        raise ValueError("empty training set")
+        raise StrokeSenseError("empty training set")
     if not 0 < lr < np.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+        raise StrokeSenseError(f"learning rate must be positive and finite, got {lr}")
     if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
+        raise StrokeSenseError(f"epochs must be at least 1, got {epochs}")
     X = np.array([np.asarray(x, dtype=float) for x, _ in data])
     y = np.array([int(label) for _, label in data])
     if ((y < 0) | (y >= model.sizes[-1])).any():
-        raise ValueError("label outside the output range")
+        raise StrokeSenseError("label outside the output range")
     rng = np.random.default_rng(seed)
     trained = model.copy()
     prev_loss = None
@@ -188,7 +188,7 @@ def mlp_train(
                 trained.biases[layer] -= lr * gb[layer]
         mean_loss = total / len(X)
         if not np.isfinite(mean_loss):
-            raise NonFinite("training diverged")
+            raise StrokeSenseError("training diverged")
         trained.loss_history.append(mean_loss)
         if (
             early_stop_tol is not None

@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NonFinite
+from .errors import StrokeSenseError
 
 DEFAULT_RETENTION = 0.95
 
@@ -43,11 +43,11 @@ class PcaModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcaModel":
-        """Rejects with ValueError a model without a scale vector, whose
+        """Rejects with StrokeSenseError a model without a scale vector, whose
         components are not (k, p) for p means, scales and eigenvalues, that
         holds a non-finite number, or whose scale is not positive."""
         if d.get("scale") is None:
-            raise ValueError("PCA model has no scale vector")
+            raise StrokeSenseError("PCA model has no scale vector")
         model = cls(
             mean=np.array(d["mean"], dtype=float),
             scale=np.array(d["scale"], dtype=float),
@@ -58,19 +58,19 @@ class PcaModel:
         )
         vectors = (model.mean, model.scale, model.eigenvalues)
         if model.mean.ndim != 1 or any(v.shape != model.mean.shape for v in vectors):
-            raise ValueError(
+            raise StrokeSenseError(
                 f"mean, scale and eigenvalues need one (p,) shape, got {[v.shape for v in vectors]}"
             )
         if model.components.shape != (model.k, model.n_features):
-            raise ValueError(
+            raise StrokeSenseError(
                 f"components need shape ({model.k}, {model.n_features}), "
                 f"got {model.components.shape}"
             )
         for name in ("mean", "scale", "components", "eigenvalues"):
             if not np.isfinite(getattr(model, name)).all():
-                raise ValueError(f"{name} must be finite")
+                raise StrokeSenseError(f"{name} must be finite")
         if (model.scale <= 0).any():
-            raise ValueError("scale must be positive")
+            raise StrokeSenseError("scale must be positive")
         return model
 
 
@@ -83,11 +83,11 @@ def fit_pca(X: np.ndarray, retention: float = DEFAULT_RETENTION) -> PcaModel:
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
-        raise DegenerateInput("need at least 2 rows to fit")
+        raise StrokeSenseError("need at least 2 rows to fit")
     if not np.isfinite(X).all():
-        raise NonFinite("feature matrix contains non-finite entries")
+        raise StrokeSenseError("feature matrix contains non-finite entries")
     if not 0 < retention <= 1:
-        raise ValueError(f"retention must lie in (0, 1], got {retention}")
+        raise StrokeSenseError(f"retention must lie in (0, 1], got {retention}")
 
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
@@ -125,7 +125,7 @@ def transform(model: PcaModel, f: np.ndarray) -> np.ndarray:
     """Project a feature vector (or matrix) onto the retained components."""
     f = np.asarray(f, dtype=float)
     if f.shape[-1] != model.n_features:
-        raise DimensionMismatch(
+        raise StrokeSenseError(
             f"expected {model.n_features} features, got {f.shape[-1]}"
         )
     return ((f - model.mean) / model.scale) @ model.components.T

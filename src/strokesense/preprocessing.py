@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InsufficientSupport, NonMonotonicTime, TooShort
+from .errors import StrokeSenseError
 from .io import SensorSeries
 
 SIGMA_EPS_SCALE = 1e-12  # degenerate-spread guard for outlier removal
@@ -31,7 +31,7 @@ def diff_stats(values) -> Tuple[float, float]:
     """
     values = np.asarray(values, dtype=float)
     if len(values) < 2:
-        raise TooShort("need at least 2 samples for first differences")
+        raise StrokeSenseError("need at least 2 samples for first differences")
     diffs = np.diff(values)
     ex = float(diffs.mean())
     sigma = float(np.sqrt(np.mean((diffs - ex) ** 2)))
@@ -62,7 +62,7 @@ def newton_fill(values, positions, present) -> np.ndarray:
     filled values.
 
     ``values``, ``positions`` and ``present`` must have one length, and
-    the positions must be strictly increasing (``ValueError``).  Gaps are
+    the positions must be strictly increasing (``StrokeSenseError``).  Gaps are
     filled left to right; earlier fills become usable support for later
     ones.  So when gap ``j`` is filled every sample left of it is known,
     and its four nearest supports lie among ``j-4 .. j-1`` and the first
@@ -78,12 +78,12 @@ def newton_fill(values, positions, present) -> np.ndarray:
     positions = np.asarray(positions, dtype=float)
     present = np.asarray(present, dtype=bool)
     if not len(values) == len(positions) == len(present):
-        raise ValueError("values, positions and present must be equal length")
+        raise StrokeSenseError("values, positions and present must be equal length")
     if len(positions) > 1 and not (np.diff(positions) > 0).all():
-        raise ValueError("positions must be strictly increasing")
+        raise StrokeSenseError("positions must be strictly increasing")
     known_idx = np.nonzero(present)[0]
     if len(known_idx) < FILL_SUPPORT:
-        raise InsufficientSupport(
+        raise StrokeSenseError(
             f"need at least {FILL_SUPPORT} known samples, have {len(known_idx)}"
         )
     missing = np.nonzero(~present)[0]
@@ -138,9 +138,9 @@ def adaptive_filter(
     +-0.0 (0.0 + -0.0 is 0.0), so no block is passed over while y == 0.
     """
     if not 0.0 <= k0 <= 1.0:
-        raise ValueError(f"k0 must lie in [0, 1], got {k0}")
+        raise StrokeSenseError(f"k0 must lie in [0, 1], got {k0}")
     if not 0 < delta_a < np.inf:
-        raise ValueError(f"delta_a must be positive and finite, got {delta_a}")
+        raise StrokeSenseError(f"delta_a must be positive and finite, got {delta_a}")
     values = np.asarray(values, dtype=float)
     xs = values.tolist()
     hold = 1.0 - k0
@@ -205,7 +205,7 @@ def preprocess_series(
     Rows implied by timestamp gaps are re-created on the nominal sample
     grid and interpolated alongside outlier-induced gaps.  The result is
     gap-free and uniformly sampled.  Two rows that round to the same grid
-    slot raise :class:`NonMonotonicTime` rather than one overwriting the
+    slot raise :class:`StrokeSenseError` rather than one overwriting the
     other.
     """
     p = series.sample_period
@@ -214,7 +214,7 @@ def preprocess_series(
     clash = np.nonzero(np.diff(idx) == 0)[0]
     if clash.size:
         i = int(clash[0])
-        raise NonMonotonicTime(
+        raise StrokeSenseError(
             f"rows {i} and {i + 1} (t={float(series.t[i])!r}, "
             f"{float(series.t[i + 1])!r}) round to the same grid slot "
             f"{int(idx[i])} at period {p!r}"

@@ -16,13 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadWeights,
-    DegenerateRange,
-    MixedLabels,
-    NotReciprocal,
-    TooFew,
-)
+from .errors import StrokeSenseError
 from .labels import StrokeLabel
 from .windows import MotionWindow, block_rows
 
@@ -60,15 +54,15 @@ def _check_reciprocal(a: np.ndarray) -> float:
     scale; returns that scale (diagonal value)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotReciprocal("matrix must be square")
+        raise StrokeSenseError("matrix must be square")
     if not (a > 0).all():
-        raise NotReciprocal("matrix entries must be positive")
+        raise StrokeSenseError("matrix entries must be positive")
     diag = np.diag(a)
     c = float(diag[0])
     if not np.allclose(diag, c, rtol=1e-9, atol=0):
-        raise NotReciprocal("diagonal entries must be equal")
+        raise StrokeSenseError("diagonal entries must be equal")
     if not np.allclose(a * a.T, c * c, rtol=1e-9, atol=0):
-        raise NotReciprocal("a_ij * a_ji must equal the squared diagonal")
+        raise StrokeSenseError("a_ij * a_ji must equal the squared diagonal")
     return c
 
 
@@ -170,16 +164,16 @@ class StandardProfile:
         for name in _STATS:
             stat = np.asarray(getattr(self, name), dtype=float)
             if stat.shape != (N_INDICATORS,):
-                raise ValueError(f"{name} needs shape ({N_INDICATORS},), got {stat.shape}")
+                raise StrokeSenseError(f"{name} needs shape ({N_INDICATORS},), got {stat.shape}")
             if not np.isfinite(stat).all():
-                raise ValueError(f"{name} must be finite")
+                raise StrokeSenseError(f"{name} must be finite")
             setattr(self, name, stat)
         if not ((self.k1 > 0) & (self.k2 > 0)).all():
-            raise ValueError("loss coefficients must be positive")
+            raise StrokeSenseError("loss coefficients must be positive")
         if (self.lo > self.hi).any():
-            raise ValueError("interval bounds out of order")
+            raise StrokeSenseError("interval bounds out of order")
         if (self.up <= self.down)[_MAXIMAL].any():
-            raise DegenerateRange("up - down collapsed to zero")
+            raise StrokeSenseError("up - down collapsed to zero")
 
     def to_dict(self) -> dict:
         rows = np.stack([getattr(self, name) for name in _STATS], axis=1).tolist()
@@ -196,7 +190,7 @@ class StandardProfile:
         specs = d["indicators"]
         for i, (spec, kind) in enumerate(zip(specs, INDICATOR_KINDS)):
             if spec["kind"] != kind:
-                raise ValueError(f"indicator {i} is {kind!r}, not {spec['kind']!r}")
+                raise StrokeSenseError(f"indicator {i} is {kind!r}, not {spec['kind']!r}")
         return cls(
             StrokeLabel.from_name(d["stroke"]),
             *([spec[name] for spec in specs] for name in _STATS),
@@ -210,13 +204,13 @@ def build_profile(reference_windows: Sequence[MotionWindow]) -> StandardProfile:
     std (floored).
     """
     if len(reference_windows) < 2:
-        raise TooFew("need at least 2 reference windows")
+        raise StrokeSenseError("need at least 2 reference windows")
     labels = {w.label for w in reference_windows}
     if len(labels) != 1:
-        raise MixedLabels(f"reference windows carry labels {labels}")
+        raise StrokeSenseError(f"reference windows carry labels {labels}")
     stroke = labels.pop()
     if stroke is None:
-        raise MixedLabels("reference windows must be labeled")
+        raise StrokeSenseError("reference windows must be labeled")
 
     # one contiguous row per indicator, so each is reduced as a lone column
     V = np.ascontiguousarray(indicator_matrix(reference_windows).T)
@@ -260,11 +254,11 @@ def total_score(q: Sequence[float], k: Sequence[float]) -> float:
     q = np.asarray(q, dtype=float)
     k = np.asarray(k, dtype=float)
     if q.shape != (N_LEVELS,) or k.shape != (N_LEVELS,):
-        raise BadWeights(f"need {N_LEVELS} scores and {N_LEVELS} weights")
+        raise StrokeSenseError(f"need {N_LEVELS} scores and {N_LEVELS} weights")
     if (k < 0).any() or abs(k.sum() - 1.0) > 0.01:
-        raise BadWeights(f"weights must be non-negative and sum to 1, got {k}")
+        raise StrokeSenseError(f"weights must be non-negative and sum to 1, got {k}")
     if not ((q >= 0) & (q <= 1)).all():
-        raise ValueError("level scores must lie in [0, 1]")
+        raise StrokeSenseError("level scores must lie in [0, 1]")
     return float(q @ k)
 
 
@@ -284,9 +278,9 @@ def score_window(
     """Score one window against a reference profile.  Each level score
     averages its three axis indicator scores with equal weight; the total
     weighs the levels by ``weights``, the reference AHP weights by
-    default.  A window labeled with another stroke raises MixedLabels."""
+    default.  A window labeled with another stroke is rejected."""
     if window.label is not None and window.label != profile.stroke:
-        raise MixedLabels(
+        raise StrokeSenseError(
             f"window labeled {window.label.name}, profile is {profile.stroke.name}"
         )
     if weights is None:

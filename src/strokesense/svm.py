@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyClass, NoConvergence
+from .errors import NoConvergence, StrokeSenseError
 from .labels import N_CLASSES, StrokeLabel
 
 DEFAULT_TOL = 1e-3
@@ -36,7 +36,9 @@ def gaussian_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.nda
         - 2.0 * A @ B.T
     )
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    # A huge gamma overflows gamma * sq to inf; exp(-inf) = 0 is the exact limit.
+    with np.errstate(over="ignore"):
+        return np.exp(-gamma * sq)
 
 
 def smo_solve(
@@ -60,7 +62,7 @@ def smo_solve(
     b = -rho: the mean of -y_t G_t over free multipliers, or the midpoint
     of m and M when none is free.  Deterministic (ties go to the lower
     index).  Raises NoConvergence after ``max_passes * n`` pair updates,
-    and ValueError unless both labels occur.
+    and StrokeSenseError unless both labels occur.
     """
     n = len(y)
     alphas = np.zeros(n)
@@ -68,7 +70,7 @@ def smo_solve(
     diag = np.diag(K)
     pos = y > 0
     if pos.all() or not pos.any():
-        raise ValueError("smo_solve needs both +1 and -1 labels")
+        raise StrokeSenseError("smo_solve needs both +1 and -1 labels")
     updates = 0
     while True:
         score = -y * grad
@@ -135,9 +137,9 @@ class KernelSvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSvmModel":
-        """Rejects with ValueError support vectors that are not a 2-D table
-        (``[]`` stands for none), a model with one coefficient too many or
-        too few for its support vectors, or with a non-finite support
+        """Rejects with StrokeSenseError support vectors that are not a 2-D
+        table (``[]`` stands for none), a model with one coefficient too many
+        or too few for its support vectors, or with a non-finite support
         vector, coefficient, ``b`` or ``gamma``, or a ``gamma`` that is not
         positive, as training does."""
         model = cls(
@@ -149,20 +151,20 @@ class KernelSvmModel:
             class_pair=(int(d["class_pair"][0]), int(d["class_pair"][1])),
         )
         if model.support_vectors.ndim != 2 and model.support_vectors.size:
-            raise ValueError(
+            raise StrokeSenseError(
                 f"pair {model.class_pair}: support_vectors must be a 2-D table, "
                 f"got shape {model.support_vectors.shape}"
             )
         if model.coef.shape != model.support_vectors.shape[:1]:
-            raise ValueError(
+            raise StrokeSenseError(
                 f"pair {model.class_pair}: {len(model.support_vectors)} support vectors "
                 f"need as many coef values, got shape {model.coef.shape}"
             )
         for name in ("support_vectors", "coef", "b", "gamma"):
             if not np.isfinite(getattr(model, name)).all():
-                raise ValueError(f"pair {model.class_pair}: {name} must be finite")
+                raise StrokeSenseError(f"pair {model.class_pair}: {name} must be finite")
         if model.gamma <= 0:
-            raise ValueError(f"pair {model.class_pair}: gamma must be positive, got {model.gamma}")
+            raise StrokeSenseError(f"pair {model.class_pair}: gamma must be positive, got {model.gamma}")
         return model
 
 
@@ -175,19 +177,19 @@ def train_pairwise_svm(
 ) -> KernelSvmModel:
     """Train one Gaussian-kernel SVM separating class_pair[0] (+1) from
     class_pair[1] (-1).  ``c`` and ``gamma`` must be positive and finite
-    (ValueError otherwise)."""
+    (StrokeSenseError otherwise)."""
     Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
     Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
     if Xa.shape[0] == 0 or Xb.shape[0] == 0:
-        raise EmptyClass(f"empty class in pair {class_pair}")
+        raise StrokeSenseError(f"empty class in pair {class_pair}")
     X = np.vstack([Xa, Xb])
     y = np.concatenate([np.ones(len(Xa)), -np.ones(len(Xb))])
     if gamma is None:
         gamma = default_gamma(X)
     if not 0 < c < np.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
+        raise StrokeSenseError(f"c must be positive and finite, got {c}")
     if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+        raise StrokeSenseError(f"gamma must be positive and finite, got {gamma}")
     K = gaussian_kernel_matrix(X, X, gamma)
     alphas, b = smo_solve(K, y, c)
     keep = alphas > ALPHA_EPS
@@ -208,25 +210,25 @@ class DagSvmModel:
     ``models`` is keyed by exactly the pairs ``(a, b)``, a < b, of
     :data:`PAIRS`, each model's ``class_pair`` is its key, and every pair
     that keeps support vectors keeps them of one width, ``n_inputs``
-    (ValueError otherwise)."""
+    (StrokeSenseError otherwise)."""
 
     models: Dict[Tuple[int, int], KernelSvmModel]
 
     def __post_init__(self):
         if set(self.models) != set(PAIRS):
             odd = sorted(set(self.models) ^ set(PAIRS))
-            raise ValueError(
+            raise StrokeSenseError(
                 f"need one pairwise model per pair of codes 0-{N_CLASSES - 1}; "
                 f"pairs {odd} are missing or extra"
             )
         for pair, model in self.models.items():
             if model.class_pair != pair:
-                raise ValueError(f"model under pair {pair} separates {model.class_pair}")
+                raise StrokeSenseError(f"model under pair {pair} separates {model.class_pair}")
         kept = [(pair, m.support_vectors.shape[1]) for pair, m in sorted(self.models.items())
                 if m.coef.size]
         for pair, width in kept[1:]:
             if width != kept[0][1]:
-                raise ValueError(
+                raise StrokeSenseError(
                     f"pair {pair} keeps support vectors of width {width}, "
                     f"pair {kept[0][0]} of width {kept[0][1]}"
                 )
@@ -241,15 +243,15 @@ class DagSvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DagSvmModel":
-        """Rejects with ValueError a ``class_order`` other than 0-5 and a
+        """Rejects with StrokeSenseError a ``class_order`` other than 0-5 and a
         file that lists one pair twice."""
         if d["class_order"] != list(range(N_CLASSES)):
-            raise ValueError(f"class_order must be 0-5 in order, got {d['class_order']}")
+            raise StrokeSenseError(f"class_order must be 0-5 in order, got {d['class_order']}")
         models = {}
         for md in d["models"]:
             m = KernelSvmModel.from_dict(md)
             if m.class_pair in models:
-                raise ValueError(f"pair {m.class_pair} is listed twice")
+                raise StrokeSenseError(f"pair {m.class_pair} is listed twice")
             models[m.class_pair] = m
         return cls(models=models)
 

@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import BadConfig
+from .errors import StrokeSenseError
 from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
 from .labels import IDLE, StrokeLabel
 from .windows import MotionWindow
@@ -35,11 +35,11 @@ class GenConfig:
         for name in ("noise_sigma", "spike_rate", "dropout_rate", "idle_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
-                raise BadConfig(f"{name} must lie in [0, 1), got {v}")
+                raise StrokeSenseError(f"{name} must lie in [0, 1), got {v}")
         if not (0 < self.period < np.inf and 0 < self.sample_period < np.inf):
-            raise BadConfig("period and sample_period must be positive and finite")
+            raise StrokeSenseError("period and sample_period must be positive and finite")
         if self.strokes_per_class < 1:
-            raise BadConfig("strokes_per_class must be at least 1")
+            raise StrokeSenseError("strokes_per_class must be at least 1")
 
     @property
     def width(self) -> int:

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SingleClass, TooShort
+from .errors import StrokeSenseError
 from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
 from .labels import StrokeLabel
 from .svm import smo_solve
@@ -43,7 +43,7 @@ class MotionWindow:
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=float)
         if self.channels.ndim != 2 or self.channels.shape[1] != N_CHANNELS:
-            raise ValueError(f"expected (width, {N_CHANNELS}) channels, got {self.channels.shape}")
+            raise StrokeSenseError(f"expected (width, {N_CHANNELS}) channels, got {self.channels.shape}")
 
     @property
     def width(self) -> int:
@@ -70,15 +70,15 @@ def slide_windows(
     """Cut the series into fixed windows; the trailing partial window is
     dropped.  stride = width * (1 - overlap)."""
     if width < 2:
-        raise ValueError(f"window width must be at least 2, got {width}")
+        raise StrokeSenseError(f"window width must be at least 2, got {width}")
     if not 0 <= overlap < 1:
-        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
+        raise StrokeSenseError(f"overlap must lie in [0, 1), got {overlap}")
     n = len(series)
     if n < width:
-        raise TooShort(f"series of {n} samples is shorter than window width {width}")
+        raise StrokeSenseError(f"series of {n} samples is shorter than window width {width}")
     stride = int(round(width * (1 - overlap)))
     if stride < 1:
-        raise ValueError("stride collapsed to zero; lower the overlap")
+        raise StrokeSenseError("stride collapsed to zero; lower the overlap")
     return [
         MotionWindow(
             start_index=start,
@@ -168,7 +168,7 @@ def train_activation(labeled: Sequence[Tuple[MotionWindow, bool]]) -> LinearSvmM
     X = activation_matrix([w for w, _ in labeled])
     y = np.array([1.0 if active else -1.0 for _, active in labeled])
     if len(set(y)) < 2:
-        raise SingleClass("need both active and inactive windows")
+        raise StrokeSenseError("need both active and inactive windows")
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd < 1e-12] = 1.0

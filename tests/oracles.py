@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import minimize
 
-from strokesense.errors import EmptyInput, MalformedRow, NonMonotonicTime
+from strokesense.errors import StrokeSenseError
 
 
 def brute_diff_stats(values):
@@ -212,26 +212,26 @@ def reference_parse_series(text):
                 try:
                     period = float(body.split("=", 1)[1])
                 except ValueError:
-                    raise MalformedRow(f"line {lineno}: bad period directive {line!r}")
+                    raise StrokeSenseError(f"line {lineno}: bad period directive {line!r}")
             continue
         if line.replace(" ", "") == "t,ax,ay,az,gx,gy,gz,rx,ry,rz":
             continue
         fields = line.split(",")
         if len(fields) != 10:
-            raise MalformedRow(f"line {lineno}: expected 10 fields, got {len(fields)}")
+            raise StrokeSenseError(f"line {lineno}: expected 10 fields, got {len(fields)}")
         try:
             values = [float(f) for f in fields]
         except ValueError:
-            raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}")
+            raise StrokeSenseError(f"line {lineno}: non-numeric field in {line!r}")
         if not all(math.isfinite(v) for v in values):
-            raise MalformedRow(f"line {lineno}: non-finite value")
+            raise StrokeSenseError(f"line {lineno}: non-finite value")
         ts.append(values[0])
         rows.append(values[1:])
     if not rows:
-        raise EmptyInput("no data rows in input")
+        raise StrokeSenseError("no data rows in input")
     t = np.array(ts)
     if t.size > 1 and not (np.diff(t) > 0).all():
-        raise NonMonotonicTime("timestamps must be strictly increasing")
+        raise StrokeSenseError("timestamps must be strictly increasing")
     return t, np.array(rows), period
 
 

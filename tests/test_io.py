@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strokesense.io as sio
-from strokesense.errors import EmptyInput, MalformedRow, NonMonotonicTime
+from strokesense.errors import StrokeSenseError
 from strokesense.io import (
     HEADER,
     SensorSeries,
@@ -41,20 +41,20 @@ class TestParse:
         np.testing.assert_allclose(series.t, [0.0, 0.01, 0.02])
 
     def test_non_monotonic_time(self):
-        with pytest.raises(NonMonotonicTime):
+        with pytest.raises(StrokeSenseError, match="^timestamps must be strictly increasing$"):
             parse_series(_csv([_row(0.00), _row(0.02), _row(0.01)]))
 
     def test_wrong_column_count(self):
         text = _csv([_row(0.0)]) + "0.01,1,2,3,4,5,6,7\n"
-        with pytest.raises(MalformedRow):
+        with pytest.raises(StrokeSenseError, match="^line 3: expected 10 fields, got 8$"):
             parse_series(text)
 
     def test_non_numeric_field(self):
-        with pytest.raises(MalformedRow):
+        with pytest.raises(StrokeSenseError, match="^line 2: non-numeric field in '0.0,x,"):
             parse_series(_csv([[0.0, "x", 1, 1, 1, 1, 1, 1, 1, 1]]))
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(StrokeSenseError, match="^no data rows in input$"):
             parse_series(HEADER + "\n")
 
     def test_period_directive(self):
@@ -64,7 +64,7 @@ class TestParse:
     @pytest.mark.parametrize("period", ["nan", "inf", "0"])
     def test_bad_period_directive_value(self, period):
         text = _csv([_row(0.0), _row(0.01)], extra=[f"# period={period}"])
-        with pytest.raises(MalformedRow, match="sample_period"):
+        with pytest.raises(StrokeSenseError, match="^sample_period must be positive and finite, got "):
             parse_series(text)
 
     def test_comments_skipped(self):
@@ -78,12 +78,12 @@ class TestParse:
 
     def test_byte_order_mark_elsewhere_rejected(self):
         text = _csv([_row(0.0), _row(0.01)])
-        with pytest.raises(MalformedRow) as err:
+        with pytest.raises(StrokeSenseError) as err:
             parse_series("\ufeff\ufeff" + text)
         assert str(err.value) == "line 1: non-numeric field in " + repr("\ufeff" + HEADER)
         lines = text.splitlines()
         lines[2] = "\ufeff" + lines[2]
-        with pytest.raises(MalformedRow, match="^line 3: non-numeric field in "):
+        with pytest.raises(StrokeSenseError, match="^line 3: non-numeric field in "):
             parse_series("\n".join(lines))
 
 
@@ -184,7 +184,7 @@ class TestChunkedScan:
     def test_late_bad_period_directive(self):
         text = _series_text(extra=["", "", "# period=abc"])
         lineno = _line_of(text, "period")
-        with pytest.raises(MalformedRow) as err:
+        with pytest.raises(StrokeSenseError) as err:
             parse_series(text)
         assert str(err.value) == f"line {lineno}: bad period directive '# period=abc'"
 
@@ -192,7 +192,7 @@ class TestChunkedScan:
         text = _series_text(extra=["", "", "0.5,1,2,3,4,5,6,7"])
         lineno = _line_of(text, "0.5,1,2,3")
         assert text.index("0.5,1,2,3") > 3 * SMALL_CHUNK
-        with pytest.raises(MalformedRow) as err:
+        with pytest.raises(StrokeSenseError) as err:
             parse_series(text)
         assert str(err.value) == f"line {lineno}: expected 10 fields, got 8"
 
@@ -200,13 +200,13 @@ class TestChunkedScan:
         row = _data_line(*ROWS[-1]) + " # note"
         text = _series_text().replace(_data_line(*ROWS[-1]), row)
         lineno = _line_of(text, "# note")
-        with pytest.raises(MalformedRow) as err:
+        with pytest.raises(StrokeSenseError) as err:
             parse_series(text)
         assert str(err.value) == f"line {lineno}: non-numeric field in {row!r}"
 
     def test_row_error_before_bad_directive(self):
         text = _series_text(extra=["", "0.5,1,2", "# period=abc"], every=2)
-        with pytest.raises(MalformedRow) as err:
+        with pytest.raises(StrokeSenseError) as err:
             parse_series(text)
         assert str(err.value) == f"line {_line_of(text, '0.5,1,2')}: expected 10 fields, got 3"
 
@@ -214,7 +214,7 @@ class TestChunkedScan:
         text = "\n".join(["# period=0.02", "# a comment", "", HEADER, "## note"] * 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EmptyInput, match="^no data rows in input$"):
+            with pytest.raises(StrokeSenseError, match="^no data rows in input$"):
                 parse_series(text)
 
     def test_list_of_lines(self):

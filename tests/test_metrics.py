@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strokesense.errors import LengthMismatch
+from strokesense.errors import StrokeSenseError
 from strokesense.metrics import (
     ConfusionMatrix,
     classification_report,
@@ -47,7 +47,7 @@ class TestConfusion:
         assert m.accuracy == 0.75
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(StrokeSenseError, match="^label sequences differ in length$"):
             confusion([0, 1], [0])
 
 
@@ -86,7 +86,7 @@ class TestPrecisionRecallF:
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         m = confusion([0, 1], [0, 1])
-        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        with pytest.raises(StrokeSenseError, match=r"alpha must lie in \[0, 1\]"):
             f_measure(m, 0, alpha=alpha)
 
     @given(labels6, st.floats(min_value=0.05, max_value=0.95))

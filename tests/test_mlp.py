@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from strokesense.errors import DimensionMismatch
+from strokesense.errors import StrokeSenseError
 from strokesense.mlp import (
     MlpModel,
     loss_and_grads,
@@ -41,7 +41,7 @@ class TestForward:
             )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(StrokeSenseError, match="^expected 4 inputs, got 5$"):
             mlp_forward(_tiny_model(), np.zeros(5))
 
     def test_softmax_shift_invariance_via_large_inputs(self):
@@ -178,7 +178,7 @@ class TestTraining:
 
     def test_bad_label_rejected(self):
         model = mlp_init(2, seed=0, hidden=[4, 4], n_out=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             mlp_train(model, [(np.zeros(2), 5)])
 
     @pytest.mark.parametrize(
@@ -194,7 +194,7 @@ class TestTraining:
     )
     def test_out_of_range_hyperparameters_rejected(self, kwargs):
         model = mlp_init(2, seed=0, hidden=[4, 4], n_out=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             mlp_train(model, [(np.zeros(2), 0), (np.ones(2), 1)], **kwargs)
 
 
@@ -210,17 +210,17 @@ class TestSerialization:
         body = _tiny_model().to_dict()
         assert body["activation"] == "tanh"
         body["activation"] = "relu"
-        with pytest.raises(ValueError, match="relu"):
+        with pytest.raises(StrokeSenseError, match="relu"):
             MlpModel.from_dict(body)
 
     @pytest.mark.parametrize("name, layer", [("biases", 0), ("weights", 1)])
     def test_layer_shapes_must_chain(self, name, layer):
         body = _tiny_model().to_dict()
         body[name][layer] = body[name][layer][:-1]
-        with pytest.raises(ValueError, match=f"layer {layer}: .* do not chain"):
+        with pytest.raises(StrokeSenseError, match=f"layer {layer}: .* do not chain"):
             MlpModel.from_dict(body)
 
     def test_output_width_must_be_six(self):
         body = _tiny_model().to_dict()
-        with pytest.raises(ValueError, match=r"needs 6 outputs, got \(3,\)"):
+        with pytest.raises(StrokeSenseError, match=r"needs 6 outputs, got \(3,\)"):
             MlpModel.from_dict(body)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from strokesense.errors import DegenerateInput, DimensionMismatch, NonFinite
+from strokesense.errors import StrokeSenseError
 from strokesense.pca import PcaModel, contribution_rates, fit_pca, transform
 
 from oracles import jacobi_eigh
@@ -84,11 +84,11 @@ class TestFitPca:
         assert recon.shape == X.shape
 
     def test_degenerate_and_nonfinite(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(StrokeSenseError, match="^need at least 2 rows to fit$"):
             fit_pca(np.zeros((1, 5)))
         bad = np.zeros((4, 5))
         bad[0, 0] = np.nan
-        with pytest.raises(NonFinite):
+        with pytest.raises(StrokeSenseError, match="^feature matrix contains non-finite entries$"):
             fit_pca(bad)
 
 
@@ -104,7 +104,7 @@ class TestTransform:
     def test_dimension_mismatch(self, small_features):
         X, _ = small_features
         model = fit_pca(X)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(StrokeSenseError, match=f"^expected {X.shape[1]} features, got 10$"):
             transform(model, X[:, :10])
 
     def test_transformed_variances_match_eigenvalues(self):
@@ -135,5 +135,5 @@ class TestSerialization:
             body["scale"] = None
         else:
             del body["scale"]
-        with pytest.raises(ValueError, match="scale"):
+        with pytest.raises(StrokeSenseError, match="scale"):
             PcaModel.from_dict(body)

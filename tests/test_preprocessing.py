@@ -9,7 +9,7 @@ from oracles import (
     lagrange_eval,
     reference_adaptive_filter,
 )
-from strokesense.errors import InsufficientSupport, NonMonotonicTime, TooShort
+from strokesense.errors import StrokeSenseError
 from strokesense.io import SensorSeries
 from strokesense.preprocessing import (
     adaptive_filter,
@@ -39,7 +39,7 @@ class TestDiffStats:
         assert sigma == pytest.approx(want_sigma)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(StrokeSenseError, match="^need at least 2 samples for first differences$"):
             diff_stats([1.0])
 
 
@@ -113,7 +113,7 @@ class TestNewtonFill:
         assert filled[gap] == pytest.approx(oracle, abs=1e-9)
 
     def test_insufficient_support(self):
-        with pytest.raises(InsufficientSupport):
+        with pytest.raises(StrokeSenseError, match="^need at least 4 known samples, have 2$"):
             newton_fill(*_with_gap([1.0, 2.0, 3.0, 4.0], np.arange(4.0), [1, 2]))
 
     @pytest.mark.parametrize(
@@ -124,7 +124,7 @@ class TestNewtonFill:
         ],
     )
     def test_mismatched_lengths_rejected(self, values, positions, present):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(StrokeSenseError, match="equal length"):
             newton_fill(values, positions, present)
 
     @pytest.mark.parametrize(
@@ -132,7 +132,7 @@ class TestNewtonFill:
     )
     def test_non_increasing_positions_rejected(self, positions):
         present = [True, True, False, True, True]
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(StrokeSenseError, match="strictly increasing"):
             newton_fill([1.0, 2.0, 3.0, 4.0, 5.0], positions, present)
 
     def test_inputs_left_unchanged(self):
@@ -192,7 +192,7 @@ class TestAdaptiveFilter:
         [(-0.1, 0.05), (1.5, 0.05), (0.3, 0.0), (0.3, -1.0), (0.3, np.nan), (0.3, np.inf)],
     )
     def test_out_of_range_parameters_rejected(self, k0, delta_a):
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             adaptive_filter([1.0, 2.0], k0=k0, delta_a=delta_a)
 
     @settings(max_examples=50, deadline=None)
@@ -240,7 +240,10 @@ class TestPreprocessSeries:
         # 0.0 and 0.004 both round onto slot 0; row 0 used to be dropped.
         t = np.array([0.0, 0.004, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06])
         series = SensorSeries(t, np.ones((8, 9)))
-        with pytest.raises(NonMonotonicTime, match="rows 0 and 1"):
+        with pytest.raises(
+            StrokeSenseError,
+            match=r"^rows 0 and 1 \(t=0\.0, 0\.004\) round to the same grid slot 0 at period 0\.01$",
+        ):
             preprocess_series(series)
 
     def test_three_gap_free_rows_kept(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_indicator_dicts, reference_indicator_values, reference_level_scores
-from strokesense.errors import BadWeights, DegenerateRange, MixedLabels, NotReciprocal, TooFew
+from strokesense.errors import StrokeSenseError
 from strokesense.labels import IDLE, StrokeLabel
 from strokesense.preprocessing import preprocess_series
 from strokesense.scoring import (
@@ -50,7 +50,7 @@ class TestAhp:
     def test_not_reciprocal_rejected(self):
         bad = REFERENCE_AHP_MATRIX.copy()
         bad[0, 1] = 2.0
-        with pytest.raises(NotReciprocal):
+        with pytest.raises(StrokeSenseError, match=r"^a_ij \* a_ji must equal the squared diagonal$"):
             ahp_weights(bad)
 
     def test_inconsistent_matrix_warns(self):
@@ -173,15 +173,15 @@ class TestTotalScore:
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_scores_outside_unit_interval_rejected(self, bad):
         q = np.array([1.0, bad, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             total_score(q, REFERENCE_LEVEL_WEIGHTS)
 
     def test_bad_weights_rejected(self):
-        with pytest.raises(BadWeights):
+        with pytest.raises(StrokeSenseError, match="^weights must be non-negative and sum to 1, got "):
             total_score(np.ones(5), np.full(5, 0.3))
-        with pytest.raises(BadWeights):
+        with pytest.raises(StrokeSenseError, match="^weights must be non-negative and sum to 1, got "):
             total_score(np.ones(5), np.array([-0.1, 0.4, 0.3, 0.2, 0.2]))
-        with pytest.raises(BadWeights):
+        with pytest.raises(StrokeSenseError, match="^need 5 scores and 5 weights$"):
             total_score(np.ones(4), REFERENCE_LEVEL_WEIGHTS)
 
 
@@ -196,11 +196,11 @@ class TestProfiles:
         windows, _, _ = small_corpus
         mixed = [w for w in windows if w.label is not None][:6]
         assert len({w.label for w in mixed}) > 1
-        with pytest.raises(MixedLabels):
+        with pytest.raises(StrokeSenseError, match="^reference windows carry labels "):
             build_profile(mixed)
 
     def test_build_requires_two_windows(self):
-        with pytest.raises(TooFew):
+        with pytest.raises(StrokeSenseError, match="^need at least 2 reference windows$"):
             build_profile([])
 
     def test_round_trip(self):
@@ -227,33 +227,35 @@ class TestProfiles:
         assert bad < good
 
     @pytest.mark.parametrize(
-        "key, value, error",
+        "key, value, message",
         [
-            ("center", float("nan"), ValueError),
-            ("center", float("inf"), ValueError),
-            ("k1", float("nan"), ValueError),
-            ("k1", float("inf"), ValueError),
-            ("lo", float("nan"), ValueError),
-            ("lo", float("-inf"), ValueError),
-            ("kind", "interval", ValueError),
-            ("up", None, DegenerateRange),
+            ("center", float("nan"), "^center must be finite$"),
+            ("center", float("inf"), "^center must be finite$"),
+            ("k1", float("nan"), "^k1 must be finite$"),
+            ("k1", float("inf"), "^k1 must be finite$"),
+            ("lo", float("nan"), "^lo must be finite$"),
+            ("lo", float("-inf"), "^lo must be finite$"),
+            ("kind", "interval", "^indicator 0 is 'maximal', not 'interval'$"),
+            ("up", None, "^up - down collapsed to zero$"),
         ],
     )
-    def test_bad_profile_rejected_on_load(self, key, value, error):
+    def test_bad_profile_rejected_on_load(self, key, value, message):
         """Indicator 0 is a maximal (strength) indicator; a profile whose
         statistics would score NaN, or that disagrees with the level's
         kind, never loads."""
         d = build_profile(_class_windows(31, StrokeLabel(2), noise=0.02)).to_dict()
         spec = d["indicators"][0]
         spec[key] = spec["down"] if key == "up" else value
-        with pytest.raises(error):
+        with pytest.raises(StrokeSenseError, match=message):
             StandardProfile.from_dict(d)
 
     def test_wrong_label_rejected(self):
         ref = _class_windows(31, StrokeLabel(2), noise=0.02)
         profile = build_profile(ref)
         other = _class_windows(31, StrokeLabel(4), noise=0.02)
-        with pytest.raises(MixedLabels):
+        with pytest.raises(
+            StrokeSenseError, match="^window labeled FOREHAND_CHOP, profile is FOREHAND_PUSH$"
+        ):
             score_window(other[0], profile)
 
     def test_report_fields(self):

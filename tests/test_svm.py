@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import reference_svm_dual
-from strokesense.errors import EmptyClass, NoConvergence
+from strokesense.errors import NoConvergence, StrokeSenseError
 from strokesense.labels import IDLE, StrokeLabel
 from strokesense.preprocessing import preprocess_series
 from strokesense.svm import (
@@ -38,6 +40,18 @@ class TestKernel:
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-14)
 
+    def test_huge_gamma_takes_the_exact_limit_without_warning(self):
+        # gamma * sq overflows to +inf for every sq > 0; exp(-inf) = 0 is
+        # the exact limit, and coincident rows (sq == 0) keep exp(0) = 1.
+        A = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+        B = np.vstack([A + 1.0, A[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = gaussian_kernel_matrix(A, B, 1e308)
+        want = np.zeros((3, 4))
+        want[1, 3] = 1.0
+        np.testing.assert_array_equal(K, want)
+
     def test_default_gamma(self):
         X = np.array([[1.0, -1.0], [3.0, -3.0]])
         np.testing.assert_allclose(default_gamma(X), 1.0 / (2 * X.var()))
@@ -65,7 +79,7 @@ class TestSmo:
 
     @pytest.mark.parametrize("label", [1.0, -1.0])
     def test_single_label_rejected(self, label):
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             smo_solve(np.eye(4), np.full(4, label), c=1.0)
 
     def test_no_convergence_raises(self):
@@ -141,7 +155,7 @@ class TestPairwise:
         assert (model.decision(Xb) < 0).all()
 
     def test_empty_class(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(StrokeSenseError, match=r"^empty class in pair \(0, 1\)$"):
             train_pairwise_svm(np.zeros((0, 3)), np.ones((4, 3)))
 
     @pytest.mark.parametrize(
@@ -150,9 +164,9 @@ class TestPairwise:
     )
     def test_out_of_range_hyperparameters_rejected(self, small_features, c, gamma):
         X, y = small_features
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             train_pairwise_svm(X[y == 0], X[y == 1], c=c, gamma=gamma)
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             train_dagsvm(X, y, c=c, gamma=gamma)
 
     def test_round_trip(self):
@@ -301,20 +315,20 @@ class TestDag:
         dag = _unanimous_dag(0)
         models = dict(dag.models)
         models.pop((0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(StrokeSenseError):
             DagSvmModel(models=models)
 
     def test_each_model_sits_under_its_pair(self):
         models = dict(_unanimous_dag(0).models)
         models[(0, 1)], models[(0, 2)] = models[(0, 2)], models[(0, 1)]
-        with pytest.raises(ValueError, match="separates"):
+        with pytest.raises(StrokeSenseError, match="separates"):
             DagSvmModel(models=models)
 
     def test_support_vectors_share_one_width(self):
         models = dict(_unanimous_dag(0).models)
         for pair, width in [((0, 1), 2), ((0, 2), 3)]:
             models[pair] = KernelSvmModel(np.zeros((1, width)), np.ones(1), 0.0, 1.0, 1.0, pair)
-        with pytest.raises(ValueError, match=r"pair \(0, 2\) keeps support vectors of width 3"):
+        with pytest.raises(StrokeSenseError, match=r"pair \(0, 2\) keeps support vectors of width 3"):
             DagSvmModel(models=models)
         models[(0, 2)] = _unanimous_dag(0).models[(0, 2)]  # no support vectors: any width
         DagSvmModel(models=models)
@@ -323,5 +337,5 @@ class TestDag:
     def test_support_vectors_form_a_table(self, support_vectors):
         d = KernelSvmModel(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0, (0, 1)).to_dict()
         d.update(support_vectors=support_vectors, coef=[1.0] * len(support_vectors))
-        with pytest.raises(ValueError, match="2-D table"):
+        with pytest.raises(StrokeSenseError, match="2-D table"):
             KernelSvmModel.from_dict(d)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strokesense.errors import BadConfig
+from strokesense.errors import StrokeSenseError
 from strokesense.labels import IDLE, StrokeLabel
 from strokesense.synth import (
     CLASS_TEMPLATES,
@@ -111,6 +111,6 @@ class TestGenerate:
 @pytest.mark.parametrize("field", ["period", "sample_period"])
 @pytest.mark.parametrize("value", [0.0, float("inf"), float("nan")])
 def test_bad_period_rejected(field, value):
-    with pytest.raises(BadConfig):
+    with pytest.raises(StrokeSenseError, match="^period and sample_period must be positive and finite$"):
         GenConfig(**{field: value})
 

@@ -21,7 +21,7 @@ from oracles import (
     reference_profile_specs,
     reference_window_features,
 )
-from strokesense.errors import TooShort
+from strokesense.errors import StrokeSenseError
 from strokesense.features import (
     CHANNEL_NAMES,
     N_FEATURES,
@@ -163,9 +163,11 @@ def test_gate_is_one_row_of_the_activation_matrix(faulty_session):
 
 
 def test_one_row_window_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(StrokeSenseError, match="^need at least 2 samples per channel$"):
         window_features(MotionWindow(0, np.zeros((1, 9))))
-    with pytest.raises(TooShort):
+    with pytest.raises(
+        StrokeSenseError, match="^need at least 2 samples and an equal-length pair channel$"
+    ):
         channel_stats([1.0, 2.0], [1.0])
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strokesense.errors import SingleClass, TooShort
+from strokesense.errors import StrokeSenseError
 from strokesense.io import SensorSeries
 from strokesense.labels import IDLE
 from strokesense.svm import smo_solve
@@ -49,7 +49,9 @@ class TestSlideWindows:
             assert np.array_equal(a.channels[100:], b.channels[:100])
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(
+            StrokeSenseError, match="^series of 150 samples is shorter than window width 200$"
+        ):
             slide_windows(_series(150))
 
 
@@ -111,7 +113,7 @@ class TestActivationGate:
 
     def test_single_class_rejected(self, small_corpus):
         windows, _, _ = small_corpus
-        with pytest.raises(SingleClass):
+        with pytest.raises(StrokeSenseError, match="^need both active and inactive windows$"):
             train_activation([(w, True) for w in windows[:4]])
 
     def test_accuracy_on_held_out_windows(self):
