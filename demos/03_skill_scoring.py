@@ -17,7 +17,7 @@ from strokesense.scoring import (
     ahp_weights,
     build_profile,
     consistency,
-    score_window,
+    score_windows,
 )
 from strokesense.synth import GenConfig, generate, stroke_windows
 from strokesense.windows import MotionWindow
@@ -63,8 +63,6 @@ players = {
 
 print(f"\n{'player':<14}" + "".join(f"{n[:9]:>11}" for n in LEVEL_NAMES) + f"{'total':>9}")
 for name, windows in players.items():
-    reports = [score_window(w, profile, weights=weights) for w in windows]
-    q = np.mean([r.q for r in reports], axis=0)
-    total = np.mean([r.total for r in reports])
-    cells = "".join(f"{v:11.3f}" for v in q)
-    print(f"{name:<14}{cells}{total:9.3f}")
+    q, totals = score_windows(windows, profile, weights=weights)
+    cells = "".join(f"{v:11.3f}" for v in q.mean(axis=0))
+    print(f"{name:<14}{cells}{totals.mean():9.3f}")

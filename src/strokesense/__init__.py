@@ -23,6 +23,7 @@ from .scoring import (
     build_profile,
     indicator_matrix,
     score_window,
+    score_windows,
     total_score,
 )
 from .svm import (

@@ -16,20 +16,15 @@ import numpy as np
 
 from . import __version__
 from .errors import StrokeSenseError
-from .features import FEATURE_NAMES, N_FEATURES, window_features
+# window_features and score_window stay imported: perfbench/workloads.py times them here by name
+from .features import FEATURE_NAMES, N_FEATURES, feature_matrix, window_features
 from .io import parse_series, serialize_series
 from .labels import IDLE, N_CLASSES, StrokeLabel
 from .metrics import DEFAULT_ALPHA, classification_report, confusion, heatmap_csv
 from .mlp import DEFAULT_EPOCHS, DEFAULT_LR, MlpModel, mlp_init, mlp_predict_batch, mlp_train
 from .pca import DEFAULT_RETENTION, PcaModel, fit_pca, transform
 from .preprocessing import DEFAULT_K0, preprocess_series
-from .scoring import (
-    REFERENCE_AHP_MATRIX,
-    StandardProfile,
-    ahp_weights,
-    build_profile,
-    score_window,
-)
+from .scoring import StandardProfile, build_profile, score_window, score_windows
 from .svm import DagSvmModel, dag_predict_batch, train_dagsvm
 from .synth import GenConfig, generate
 from .windows import (
@@ -109,7 +104,10 @@ def _write_spans(path, spans):
 
 
 def _span(fields):
+    """A span row; its label is a stroke name, ``IDLE`` or empty."""
     start, end, label = _fields(fields, 3)
+    if label not in (IDLE, ""):
+        StrokeLabel.from_name(label)
     return int(start), int(end), label
 
 
@@ -220,7 +218,7 @@ def _cmd_segment(args):
 def _cmd_extract(args):
     windows = _windows_from_files(args.infile, args.windows)
     labels = [w.label.name if w.label is not None else "" for w in windows]
-    X = np.array([window_features(w) for w in windows]).reshape(len(windows), N_FEATURES)
+    X = feature_matrix(windows)
     rows = ([lab, *map(repr, row)] for lab, row in zip(labels, X.tolist()))
     _write_csv(args.out, ["label", *FEATURE_NAMES], rows)
     _summary(command="extract", windows=len(windows), features=X.shape[1], out=args.out)
@@ -319,12 +317,10 @@ def _cmd_evaluate(args):
             f"--stroke {wanted.name}, but {args.profile} is a {profile.stroke.name} profile"
         )
     windows = [w for w in windows if w.label in (None, profile.stroke)]
-    weights = ahp_weights(REFERENCE_AHP_MATRIX)
-    reports = [score_window(w, profile, weights=weights) for w in windows]
-    totals = [rep.total for rep in reports]
-    rows = ([profile.stroke.name, *map(repr, rep.q.tolist()), repr(rep.total)] for rep in reports)
+    q, totals = score_windows(windows, profile)
+    rows = ([profile.stroke.name, *map(repr, row)] for row in np.column_stack([q, totals]).tolist())
     _write_csv(args.out, ["stroke", "Q1", "Q2", "Q3", "Q4", "Q5", "Q"], rows)
-    mean_q = float(np.mean(totals)) if totals else None
+    mean_q = float(totals.mean()) if len(totals) else None
     _summary(command="evaluate", mode="score", windows=len(totals), mean_q=mean_q, out=args.out)
 
 
@@ -378,7 +374,7 @@ def _cmd_report(args):
 # --- parser ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="strokesense", description=__doc__)
+    parser = _Parser(prog="strokesense", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
         "--config",
@@ -468,13 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser, argv):
-    """Fold ``--config FILE`` into argv: each value becomes a
+    """Fold ``--config FILE`` (or ``--config=FILE``; a prefix such as
+    ``--c`` is no config flag) into argv: each value becomes a
     ``--flag=value`` placed right after the subcommand.  argparse keeps the
     last occurrence of a flag, so an explicit flag, in any spelling it
     accepts (``--seed 3``, ``--seed=3``, ``--se 3``), wins; config values
     still pass argparse's type and choice checks and satisfy required
     flags."""
-    pre = _Parser(prog=parser.prog, add_help=False)
+    pre = _Parser(prog=parser.prog, add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     if known.config is None:

@@ -228,38 +228,36 @@ def build_profile(reference_windows: Sequence[MotionWindow]) -> StandardProfile:
 # --- indicator and level scores -------------------------------------------
 
 def indicator_scores(values: np.ndarray, profile: StandardProfile) -> np.ndarray:
-    """The 15 indicator scores of a (15,) value vector, each by its kind's
+    """The indicator scores of a (..., 15) value array, each by its kind's
     loss function (see the module docstring)."""
     v = np.asarray(values, dtype=float)
     p = profile
-    out = np.ones(N_INDICATORS)
-    m = _MAXIMAL
+    scale = np.where(_MAXIMAL, p.up - p.down, 1.0)  # only maximal ones have up > down
     # Far above the range exp overflows to inf and the score is exactly 1.
     with np.errstate(over="ignore"):
-        out[m] = 1.0 - 1.0 / (1.0 + np.exp((v[m] - p.center[m]) / (p.up[m] - p.down[m])))
-    outside = ~m & ~((p.lo <= v) & (v <= p.hi))
-    below = outside & (v < p.lo)
-    above = outside & ~below
-    out[below] = np.exp(-((p.lo - v)[below] / p.k1[below]))
-    out[above] = np.exp(-((v - p.hi)[above] / p.k2[above]))
-    return out
+        maximal = 1.0 - 1.0 / (1.0 + np.exp((v - p.center) / scale))
+    # lo <= hi, so at most one term is non-zero: d/k1 below the band, d/k2 above it
+    interval = np.exp(-(np.maximum(p.lo - v, 0.0) / p.k1 + np.maximum(v - p.hi, 0.0) / p.k2))
+    return np.where(_MAXIMAL, maximal, interval)
 
 
-def total_score(q: Sequence[float], k: Sequence[float]) -> float:
-    """Weighted sum of the five level scores.
-
-    Weights must be non-negative and sum to 1 within 0.01 (loose enough to
-    accept the rounded reference weights, which sum to 1.001).
-    """
+def total_score(q: Sequence[float], k: Sequence[float]):
+    """Weighted sum of five level scores in [0, 1]: a float for a (5,)
+    vector; for an (m, 5) array, the (m,) row totals, each its own dot
+    product, as one (m, 5) @ (5,) product may round differently.  Weights
+    must be non-negative and sum to 1 within 0.01 (loose enough to accept
+    the rounded reference weights, which sum to 1.001)."""
     q = np.asarray(q, dtype=float)
     k = np.asarray(k, dtype=float)
-    if q.shape != (N_LEVELS,) or k.shape != (N_LEVELS,):
+    if q.ndim not in (1, 2) or q.shape[-1] != N_LEVELS or k.shape != (N_LEVELS,):
         raise StrokeSenseError(f"need {N_LEVELS} scores and {N_LEVELS} weights")
     if (k < 0).any() or abs(k.sum() - 1.0) > 0.01:
         raise StrokeSenseError(f"weights must be non-negative and sum to 1, got {k}")
     if not ((q >= 0) & (q <= 1)).all():
         raise StrokeSenseError("level scores must lie in [0, 1]")
-    return float(q @ k)
+    if q.ndim == 1:
+        return float(q @ k)
+    return np.array([float(row @ k) for row in q])
 
 
 @dataclass
@@ -270,21 +268,30 @@ class ScoreReport:
     total: float
 
 
+def score_windows(
+    windows: Sequence[MotionWindow],
+    profile: StandardProfile,
+    weights: Optional[np.ndarray] = None,
+) -> tuple:
+    """Score windows against a reference profile: their (m, 5) level
+    scores, each the mean of its three axis indicator scores, and (m,)
+    totals weighing the levels by ``weights``, the reference AHP weights
+    by default.  A window labeled with another stroke is rejected."""
+    other = next((w.label for w in windows if w.label not in (None, profile.stroke)), None)
+    if other is not None:
+        raise StrokeSenseError(f"window labeled {other.name}, profile is {profile.stroke.name}")
+    if weights is None:
+        weights = ahp_weights(REFERENCE_AHP_MATRIX)
+    scores = indicator_scores(indicator_matrix(windows), profile)
+    q = scores.reshape(len(scores), N_LEVELS, 3).mean(axis=2)
+    return q, total_score(q, weights)
+
+
 def score_window(
     window: MotionWindow,
     profile: StandardProfile,
     weights: Optional[np.ndarray] = None,
 ) -> ScoreReport:
-    """Score one window against a reference profile.  Each level score
-    averages its three axis indicator scores with equal weight; the total
-    weighs the levels by ``weights``, the reference AHP weights by
-    default.  A window labeled with another stroke is rejected."""
-    if window.label is not None and window.label != profile.stroke:
-        raise StrokeSenseError(
-            f"window labeled {window.label.name}, profile is {profile.stroke.name}"
-        )
-    if weights is None:
-        weights = ahp_weights(REFERENCE_AHP_MATRIX)
-    scores = indicator_scores(indicator_matrix([window])[0], profile)
-    q = scores.reshape(N_LEVELS, 3).mean(axis=1)
-    return ScoreReport(q, total_score(q, weights))
+    """Score one window: :func:`score_windows` of that window alone."""
+    (q,), (total,) = score_windows([window], profile, weights)
+    return ScoreReport(q, float(total))

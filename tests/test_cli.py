@@ -8,12 +8,16 @@ import pytest
 
 import strokesense
 from strokesense.cli import _read_csv, _span, _write_spans, build_parser, main
+from strokesense.features import FEATURE_NAMES, window_features
+from strokesense.io import parse_series
+from strokesense.labels import IDLE, StrokeLabel
 from strokesense.metrics import DEFAULT_ALPHA
 from strokesense.mlp import DEFAULT_EPOCHS, DEFAULT_LR
 from strokesense.pca import DEFAULT_RETENTION
 from strokesense.preprocessing import DEFAULT_K0
+from strokesense.scoring import StandardProfile, score_window
 from strokesense.synth import GenConfig, generate
-from strokesense.windows import DEFAULT_OVERLAP, DEFAULT_WIDTH
+from strokesense.windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, MotionWindow
 
 
 def run(*args):
@@ -267,14 +271,19 @@ class TestTrainPredictReport:
         assert "error:" in capsys.readouterr().err
         assert not model.exists()
 
-    def test_no_windows(self, pipeline, tmp_path, capsys):
-        """extract -> predict on a header-only windows.csv: empty
-        artifacts, exit 0."""
+    def test_no_windows(self, artifacts, pipeline, tmp_path, capsys):
+        """extract -> predict and evaluate --profile on a header-only
+        windows.csv: empty artifacts, exit 0."""
         windows, features = tmp_path / "windows.csv", tmp_path / "features.csv"
         model, preds = tmp_path / "mlp.json", tmp_path / "preds.csv"
+        scores = tmp_path / "scores.csv"
         windows.write_text("start_index,end_index,label\n")
         assert run("extract", "--in", pipeline / "data.csv", "--windows", windows,
                    "--out", features) == 0
+        assert features.read_text() == ",".join(["label", *FEATURE_NAMES]) + "\n"
+        assert run("evaluate", "--in", pipeline / "data.csv", "--windows", windows,
+                   "--profile", artifacts / "profile.json", "--out", scores) == 0
+        assert scores.read_text() == "stroke,Q1,Q2,Q3,Q4,Q5,Q\n"
         assert run("train", "--in", pipeline / "features.csv", "--pca", pipeline / "pca.json",
                    "--out", model, "--model", "mlp", "--epochs", 2) == 0
         assert run("predict", "--in", features, "--pca", pipeline / "pca.json",
@@ -282,6 +291,8 @@ class TestTrainPredictReport:
         summary = {s["command"]: s for s in map(json.loads, capsys.readouterr().out.splitlines())}
         assert summary["extract"]["windows"] == 0
         assert summary["predict"]["samples"] == 0
+        assert summary["evaluate"]["windows"] == 0
+        assert summary["evaluate"]["mean_q"] is None
         assert preds.read_text() == "true,predicted\n"
 
 
@@ -345,6 +356,42 @@ class TestEvaluate:
         assert "--stroke BACKHAND_CHOP" in err
         assert f"{artifacts / 'profile.json'} is a FOREHAND_ATTACK profile" in err
         assert not scores.exists()
+
+
+def test_batched_outputs_match_per_window_reference(artifacts, tmp_path, capsys):
+    """extract and evaluate --profile each featurize or score all windows
+    in one batched call: on a windows.csv of 150- and 200-row spans, some
+    unlabelled and some of another stroke, features.csv and scores.csv are
+    byte-equal to rows built one window at a time."""
+    data, profile_path = artifacts / "data.csv", artifacts / "profile.json"
+    labels = ["FOREHAND_ATTACK", "", IDLE, "BACKHAND_CHOP"]
+    # a run of 40 equal widths spans two blocks; then widths alternate
+    widths = [200] * 40 + [150, 150, 200, 150, 200, 200, 150] * 6
+    spans = [(100 * i, 100 * i + w, labels[i % 4]) for i, w in enumerate(widths)]
+    windows = tmp_path / "windows.csv"
+    _write_spans(windows, spans)
+    features, scores = tmp_path / "features.csv", tmp_path / "scores.csv"
+    assert run("extract", "--in", data, "--windows", windows, "--out", features) == 0
+    assert run("evaluate", "--in", data, "--windows", windows, "--profile", profile_path,
+               "--out", scores) == 0
+    summary = {s["command"]: s for s in map(json.loads, capsys.readouterr().out.splitlines())}
+
+    series = parse_series(data.read_text())
+    profile = StandardProfile.from_dict(json.loads(profile_path.read_text()))
+    feature_rows = [["label", *FEATURE_NAMES]]
+    score_rows = [["stroke", "Q1", "Q2", "Q3", "Q4", "Q5", "Q"]]
+    for start, end, label in spans:
+        stroke = StrokeLabel.from_name(label) if label not in (IDLE, "") else None
+        w = MotionWindow(start, series.channels[start:end], series.sample_period, stroke)
+        feature_rows.append([stroke.name if stroke is not None else "",
+                             *map(repr, window_features(w).tolist())])
+        if stroke in (None, profile.stroke):
+            report = score_window(w, profile)
+            score_rows.append([profile.stroke.name, *map(repr, report.q.tolist()), repr(report.total)])
+    assert features.read_text() == "".join(",".join(row) + "\n" for row in feature_rows)
+    assert scores.read_text() == "".join(",".join(row) + "\n" for row in score_rows)
+    assert summary["evaluate"]["windows"] == len(score_rows) - 1
+    assert len(score_rows) - 1 == sum(label != "BACKHAND_CHOP" for *_, label in spans)
 
 
 class TestWindowSpans:
@@ -413,6 +460,8 @@ def _replace_field(k, value):
 _CSV_CASES = {
     "labels-short-row": ("labels.csv", 3, lambda _: "0,200", "expected 3 fields, got 2",
                          ["segment", "--in", "data.csv", "--labels", "BAD", "--out", "OUT"]),
+    "labels-unknown-stroke": ("labels.csv", 2, lambda _: "0,300,LOB", "unknown stroke label 'LOB'",
+                              ["segment", "--in", "data.csv", "--labels", "BAD", "--out", "OUT"]),
     "windows-bad-label": ("windows.csv", 3, lambda _: "0,200,FOREHAND", "'FOREHAND'",
                           ["extract", "--in", "data.csv", "--windows", "BAD", "--out", "OUT"]),
     "features-bad-float": ("features.csv", 3, _replace_field(1, "1x5"), "'1x5'",
@@ -690,6 +739,19 @@ class TestConfig:
             cfg.write_text(body)
         assert run("--config", cfg, "synth", "--out", tmp_path / "x") == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--in", "f.csv", "--pca", "p.json", "--out", "m.json", "--c", "-1"],
+         "error: unrecognized arguments: --c -1"),
+        (["--conf", "cfg.json", "synth", "--out", "x"], "invalid choice: 'cfg.json'"),
+    ], ids=["after-subcommand", "before-subcommand"])
+    def test_abbreviated_config_is_unknown_flag(self, capsys, argv, message):
+        """Only ``--config`` spelled out names a config file: a prefix of
+        it is a usage error, never a file to read."""
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "cannot read config" not in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

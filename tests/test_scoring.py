@@ -19,6 +19,7 @@ from strokesense.scoring import (
     indicator_matrix,
     indicator_scores,
     score_window,
+    score_windows,
     total_score,
 )
 from strokesense.synth import GenConfig, generate, stroke_windows
@@ -119,10 +120,14 @@ def _profile(center=1.0, spread=0.5, lo=-1.0, hi=1.0, k1=2.0, k2=4.0):
 
 
 def _score(profile, i, value):
-    """Score of indicator ``i`` at ``value``, the other indicators at 0."""
+    """Score of indicator ``i`` at ``value``, the other indicators at 0;
+    the same bits as a one-row vector and as a row of a batch."""
     values = np.zeros(N_INDICATORS)
     values[i] = value
-    return indicator_scores(values, profile)[i]
+    one = indicator_scores(values, profile)[i]
+    batch = indicator_scores(np.stack([np.full(N_INDICATORS, -value), values]), profile)
+    np.testing.assert_array_equal(batch[1, i], one)
+    return one
 
 
 class TestScoreMaps:
@@ -169,20 +174,26 @@ class TestTotalScore:
         q = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         k = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
         assert total_score(q, k) == pytest.approx(0.6)
+        totals = total_score(np.stack([q, 1 - q, q]), k)
+        assert totals.shape == (3,)
+        assert totals.tolist() == [total_score(q, k), total_score(1 - q, k), total_score(q, k)]
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_scores_outside_unit_interval_rejected(self, bad):
         q = np.array([1.0, bad, 1.0, 1.0, 1.0])
         with pytest.raises(StrokeSenseError):
             total_score(q, REFERENCE_LEVEL_WEIGHTS)
+        with pytest.raises(StrokeSenseError):
+            total_score(np.stack([np.ones(5), q]), REFERENCE_LEVEL_WEIGHTS)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(StrokeSenseError, match="^weights must be non-negative and sum to 1, got "):
             total_score(np.ones(5), np.full(5, 0.3))
         with pytest.raises(StrokeSenseError, match="^weights must be non-negative and sum to 1, got "):
             total_score(np.ones(5), np.array([-0.1, 0.4, 0.3, 0.2, 0.2]))
-        with pytest.raises(StrokeSenseError, match="^need 5 scores and 5 weights$"):
-            total_score(np.ones(4), REFERENCE_LEVEL_WEIGHTS)
+        for q in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 5)), 1.0):
+            with pytest.raises(StrokeSenseError, match="^need 5 scores and 5 weights$"):
+                total_score(q, REFERENCE_LEVEL_WEIGHTS)
 
 
 def _class_windows(seed, label, noise, n=12):
@@ -253,10 +264,11 @@ class TestProfiles:
         ref = _class_windows(31, StrokeLabel(2), noise=0.02)
         profile = build_profile(ref)
         other = _class_windows(31, StrokeLabel(4), noise=0.02)
-        with pytest.raises(
-            StrokeSenseError, match="^window labeled FOREHAND_CHOP, profile is FOREHAND_PUSH$"
-        ):
+        message = "^window labeled FOREHAND_CHOP, profile is FOREHAND_PUSH$"
+        with pytest.raises(StrokeSenseError, match=message):
             score_window(other[0], profile)
+        with pytest.raises(StrokeSenseError, match=message):
+            score_windows([ref[0], other[0], ref[1]], profile)
 
     def test_report_fields(self):
         ref = _class_windows(31, StrokeLabel(2), noise=0.02)
@@ -265,6 +277,8 @@ class TestProfiles:
         assert report.q.shape == (5,)
         assert ((report.q >= 0) & (report.q <= 1)).all()
         assert 0.0 <= report.total <= 1.0
+        q, totals = score_windows([], profile)
+        assert q.shape == (0, 5) and totals.shape == (0,)
 
 
 def _faulty(seed):
@@ -276,7 +290,8 @@ def _faulty(seed):
 def test_scores_match_reference(seed):
     """Every grid window of a faulty corpus against all six profiles, and
     each stroke window against its own: level scores and totals bit-equal
-    to the scalar scorer, profile JSON equal to the per-indicator layout."""
+    to the scalar scorer, one window at a time and all in one batch;
+    profile JSON equal to the per-indicator layout."""
     series, truth = _faulty(seed)
     strokes = stroke_windows(series, truth)
     grid = slide_windows(preprocess_series(series))
@@ -290,8 +305,11 @@ def test_scores_match_reference(seed):
             {"stroke": label.name, "indicators": specs}, sort_keys=True
         )
         pairs = list(zip(grid, grid_values)) + [(w, reference_indicator_values(w)) for w in group]
-        for w, values in pairs:
+        q, totals = score_windows([w for w, _ in pairs], profile, weights=weights)
+        for (w, values), row, total in zip(pairs, q, totals, strict=True):
             want = reference_level_scores(values, specs)
             report = score_window(w, profile, weights=weights)
             np.testing.assert_array_equal(report.q, want)
             assert report.total == float(want @ weights)
+            np.testing.assert_array_equal(row, want)
+            assert total == report.total
