@@ -27,13 +27,7 @@ from .preprocessing import DEFAULT_K0, preprocess_series
 from .scoring import StandardProfile, build_profile, score_window, score_windows
 from .svm import DagSvmModel, dag_predict_batch, train_dagsvm
 from .synth import GenConfig, generate
-from .windows import (
-    DEFAULT_OVERLAP,
-    DEFAULT_WIDTH,
-    MotionWindow,
-    majority_labels,
-    slide_windows,
-)
+from .windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, cut_windows, majority_labels, slide_windows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,21 +146,16 @@ def _windows_from_files(data_path, windows_path):
     <= rows``)."""
     series = parse_series(Path(data_path).read_text())
 
-    def window(fields):
+    def span(fields):
         start, end, label = _span(fields)
         if not (0 <= start and start + 2 <= end <= len(series)):
             raise StrokeSenseError(
                 f"span {start},{end} is not a run of at least 2 of the "
                 f"{len(series)} rows of {data_path}"
             )
-        return MotionWindow(
-            start_index=start,
-            channels=series.channels[start:end],
-            sample_period=series.sample_period,
-            label=None if label in (IDLE, "") else StrokeLabel.from_name(label),
-        )
+        return start, end, label
 
-    return _read_csv(windows_path, window)
+    return cut_windows(series, _read_csv(windows_path, span))
 
 
 # --- subcommand handlers --------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import StrokeSenseError
 from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
 from .labels import IDLE, StrokeLabel
-from .windows import MotionWindow
+from .windows import MotionWindow, cut_windows
 
 GRAVITY = 9.8
 
@@ -162,18 +162,7 @@ def generate(cfg: GenConfig) -> Tuple[SensorSeries, List[Tuple[int, int, str]]]:
 def stroke_windows(
     series: SensorSeries, truth: List[Tuple[int, int, str]]
 ) -> List[MotionWindow]:
-    """Labeled stroke windows for segments that survived intact."""
-    out = []
-    for start, end, label in truth:
-        if label == IDLE:
-            continue
-        out.append(
-            MotionWindow(
-                start_index=start,
-                channels=series.channels[start:end],
-                sample_period=series.sample_period,
-                label=StrokeLabel.from_name(label),
-            )
-        )
-    return out
-
+    """Labeled windows of the stroke spans of ``truth``, in the index space
+    of ``series``.  Under dropout a window holds only the rows of its
+    stroke that survived, so it can be shorter than the stroke."""
+    return cut_windows(series, [span for span in truth if span[2] != IDLE])

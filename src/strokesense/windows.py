@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import StrokeSenseError
 from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
-from .labels import StrokeLabel
+from .labels import IDLE, StrokeLabel
 from .svm import smo_solve
 
 DEFAULT_WIDTH = 200
@@ -79,13 +79,23 @@ def slide_windows(
     stride = int(round(width * (1 - overlap)))
     if stride < 1:
         raise StrokeSenseError("stride collapsed to zero; lower the overlap")
+    return cut_windows(series, [(s, s + width, "") for s in range(0, n - width + 1, stride)])
+
+
+def cut_windows(
+    series: SensorSeries, spans: Sequence[Tuple[int, int, str]]
+) -> List[MotionWindow]:
+    """One window per ``(start, end, label)`` span: rows ``start:end`` of
+    the series at its sample period.  A stroke name becomes its
+    :class:`StrokeLabel`; ``IDLE`` or ``""`` leaves the window unlabelled."""
     return [
         MotionWindow(
             start_index=start,
-            channels=series.channels[start : start + width],
+            channels=series.channels[start:end],
             sample_period=series.sample_period,
+            label=None if label in (IDLE, "") else StrokeLabel.from_name(label),
         )
-        for start in range(0, n - width + 1, stride)
+        for start, end, label in spans
     ]
 
 

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from strokesense.errors import StrokeSenseError
 from strokesense.io import SensorSeries
-from strokesense.labels import IDLE
+from strokesense.labels import IDLE, StrokeLabel
 from strokesense.svm import smo_solve
 from strokesense.synth import GenConfig, generate
 from strokesense.windows import (
     LinearSvmModel,
     MotionWindow,
     activation_matrix,
+    cut_windows,
     is_active,
     majority_labels,
     slide_windows,
@@ -53,6 +54,31 @@ class TestSlideWindows:
             StrokeSenseError, match="^series of 150 samples is shorter than window width 200$"
         ):
             slide_windows(_series(150))
+
+
+class TestCutWindows:
+    def test_rows_period_and_labels(self):
+        rng = np.random.default_rng(1)
+        series = SensorSeries(np.arange(400) * 0.02, rng.normal(size=(400, 9)), sample_period=0.02)
+        spans = [(0, 200, "FOREHAND_CHOP"), (150, 160, IDLE), (390, 400, "")]
+        windows = cut_windows(series, spans)
+        assert [w.start_index for w in windows] == [0, 150, 390]
+        assert [w.label for w in windows] == [StrokeLabel.FOREHAND_CHOP, None, None]
+        assert all(w.sample_period == 0.02 for w in windows)
+        for w, (s, e, _) in zip(windows, spans):
+            assert np.array_equal(w.channels, series.channels[s:e])
+
+    def test_slide_windows_cuts_unlabelled_spans(self):
+        series = _series(500)
+        windows = slide_windows(series)
+        spans = [(w.start_index, w.start_index + 200, "") for w in windows]
+        assert all(w.label is None for w in windows)
+        for w, cut in zip(windows, cut_windows(series, spans)):
+            assert (w.start_index, w.width) == (cut.start_index, cut.width)
+
+    def test_unknown_stroke_rejected(self):
+        with pytest.raises(StrokeSenseError, match="^unknown stroke label 'LOB'$"):
+            cut_windows(_series(300), [(0, 200, "LOB")])
 
 
 class TestActivationFeatures:
