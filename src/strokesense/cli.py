@@ -26,7 +26,7 @@ from .pca import DEFAULT_RETENTION, PcaModel, fit_pca, transform
 from .preprocessing import DEFAULT_K0, preprocess_series
 from .scoring import StandardProfile, build_profile, score_window, score_windows
 from .svm import DagSvmModel, dag_predict_batch, train_dagsvm
-from .synth import GenConfig, generate
+from .synth import GenConfig, generate, truth_on_grid
 from .windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, cut_windows, majority_labels, slide_windows
 
 EXIT_OK = 0
@@ -171,6 +171,7 @@ def _cmd_synth(args):
         period=args.period,
     )
     series, truth = generate(cfg)
+    truth = truth_on_grid(series, truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "data.csv").write_text(serialize_series(series))
@@ -196,7 +197,15 @@ def _cmd_segment(args):
     windows = slide_windows(series, width=args.window, overlap=args.overlap)
     spans = []
     if args.labels:
-        spans = [span for span in _read_csv(args.labels, _span) if span[2] != IDLE]
+        def span(fields):
+            start, end, label = _span(fields)
+            if end > len(series):
+                raise StrokeSenseError(
+                    f"span {start},{end} ends past the {len(series)} rows of {args.infile}"
+                )
+            return start, end, label
+
+        spans = [s for s in _read_csv(args.labels, span) if s[2] != IDLE]
     starts = [w.start_index for w in windows]
     labels = majority_labels(starts, args.window, spans)
     rows = [(s, s + args.window, lab) for s, lab in zip(starts, labels)]

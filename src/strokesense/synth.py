@@ -159,6 +159,17 @@ def generate(cfg: GenConfig) -> Tuple[SensorSeries, List[Tuple[int, int, str]]]:
     return series, remapped
 
 
+def truth_on_grid(
+    series: SensorSeries, truth: List[Tuple[int, int, str]]
+) -> List[Tuple[int, int, str]]:
+    """``truth`` moved from the rows of ``series`` to its nominal sample
+    grid, the rows :func:`~strokesense.preprocessing.preprocess_series`
+    restores: a span runs from its first to its last surviving row's grid
+    slot.  A span with no surviving row is dropped."""
+    slot = np.round((series.t - series.t[0]) / series.sample_period).astype(int)
+    return [(int(slot[s]), int(slot[e - 1]) + 1, label) for s, e, label in truth if e > s]
+
+
 def stroke_windows(
     series: SensorSeries, truth: List[Tuple[int, int, str]]
 ) -> List[MotionWindow]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -141,6 +143,58 @@ class TestSynth:
         run("synth", "--seed", 3, "--strokes-per-class", 2, "--out", b)
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
         assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def faulty(tmp_path_factory):
+    """A corpus with spikes and dropped rows, cleaned, then cut, featurized
+    and reduced from ``clean.csv``, and both models trained on it; the
+    ``train`` summary of each model, by model name."""
+    d = tmp_path_factory.mktemp("faulty")
+    steps = [
+        ["synth", "--seed", 1, "--strokes-per-class", 10, "--spike-rate", 0.002,
+         "--dropout-rate", 0.01, "--out", d],
+        ["preprocess", "--in", d / "data.csv", "--out", d / "clean.csv"],
+        ["segment", "--in", d / "clean.csv", "--labels", d / "labels.csv", "--out", d / "windows.csv"],
+        ["extract", "--in", d / "clean.csv", "--windows", d / "windows.csv", "--out", d / "features.csv"],
+        ["fit-pca", "--in", d / "features.csv", "--out", d / "pca.json"],
+    ]
+    for step in steps:
+        assert run(*step) == 0, step[0]
+    summaries = {}
+    for model in ("dagsvm", "mlp"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run("train", "--in", d / "features.csv", "--pca", d / "pca.json",
+                       "--model", model, "--out", d / f"{model}.json") == 0
+        summaries[model] = json.loads(buf.getvalue())
+    return d, summaries
+
+
+class TestFaultyCorpus:
+    """``labels.csv`` indexes the nominal sample grid, the rows of
+    ``clean.csv``, so the chain on the cleaned stream learns true labels."""
+
+    @pytest.mark.parametrize("model", ["dagsvm", "mlp"])
+    def test_held_out_accuracy(self, faulty, model):
+        _, summaries = faulty
+        assert summaries[model]["test_accuracy"] >= 0.9
+
+    def test_labels_end_on_the_last_clean_row(self, faulty):
+        d, _ = faulty
+        clean_rows = len(parse_series((d / "clean.csv").read_text()))
+        assert _read_csv(d / "labels.csv", _span)[-1][1] == clean_rows
+
+    def test_segment_rejects_labels_past_the_rows_of_in(self, faulty, tmp_path, capsys):
+        d, _ = faulty
+        data, labels, out = d / "data.csv", d / "labels.csv", tmp_path / "windows.csv"
+        rows = len(parse_series(data.read_text()))
+        spans = _read_csv(labels, _span)
+        k, (start, end, _) = next((k, s) for k, s in enumerate(spans) if s[1] > rows)
+        assert run("segment", "--in", data, "--labels", labels, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{labels} line {k + 2}: span {start},{end} ends past the {rows} rows of {data}" in err
+        assert not out.exists()
 
 
 class TestPreprocess:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from strokesense.errors import StrokeSenseError
+from strokesense.io import SensorSeries
 from strokesense.labels import IDLE, StrokeLabel
+from strokesense.preprocessing import preprocess_series
 from strokesense.synth import (
     CLASS_TEMPLATES,
     GRAVITY,
@@ -10,6 +12,7 @@ from strokesense.synth import (
     class_template,
     generate,
     stroke_windows,
+    truth_on_grid,
 )
 
 
@@ -106,6 +109,26 @@ class TestGenerate:
     def test_timestamps_monotone(self):
         series, _ = generate(GenConfig(seed=8, strokes_per_class=3, dropout_rate=0.05))
         assert (np.diff(series.t) > 0).all()
+
+
+class TestTruthOnGrid:
+    def test_identity_without_dropout(self):
+        series, truth = generate(GenConfig(seed=2, strokes_per_class=2, spike_rate=0.002))
+        assert truth_on_grid(series, truth) == truth
+
+    def test_spans_index_the_cleaned_grid(self):
+        series, truth = generate(GenConfig(seed=4, strokes_per_class=3, dropout_rate=0.05))
+        clean = preprocess_series(series)
+        grid = truth_on_grid(series, truth)
+        assert [label for *_, label in grid] == [label for *_, label in truth]
+        assert grid[-1][1] == len(clean) > len(series)
+        for (s, e, _), (gs, ge, _) in zip(truth, grid):
+            np.testing.assert_allclose(clean.t[[gs, ge - 1]], series.t[[s, e - 1]])
+
+    def test_span_with_no_surviving_row_dropped(self):
+        series = SensorSeries(np.array([0.0, 0.01, 0.03]), np.zeros((3, 9)), sample_period=0.01)
+        truth = [(0, 2, "FOREHAND_ATTACK"), (2, 2, IDLE), (2, 3, "BACKHAND_CHOP")]
+        assert truth_on_grid(series, truth) == [(0, 2, "FOREHAND_ATTACK"), (3, 4, "BACKHAND_CHOP")]
 
 
 @pytest.mark.parametrize("field", ["period", "sample_period"])

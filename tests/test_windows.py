@@ -68,14 +68,6 @@ class TestCutWindows:
         for w, (s, e, _) in zip(windows, spans):
             assert np.array_equal(w.channels, series.channels[s:e])
 
-    def test_slide_windows_cuts_unlabelled_spans(self):
-        series = _series(500)
-        windows = slide_windows(series)
-        spans = [(w.start_index, w.start_index + 200, "") for w in windows]
-        assert all(w.label is None for w in windows)
-        for w, cut in zip(windows, cut_windows(series, spans)):
-            assert (w.start_index, w.width) == (cut.start_index, cut.width)
-
     def test_unknown_stroke_rejected(self):
         with pytest.raises(StrokeSenseError, match="^unknown stroke label 'LOB'$"):
             cut_windows(_series(300), [(0, 200, "LOB")])
