@@ -97,12 +97,27 @@ def _write_spans(path, spans):
     _write_csv(path, ["start_index", "end_index", "label"], rows)
 
 
-def _span(fields):
-    """A span row; its label is a stroke name, ``IDLE`` or empty."""
-    start, end, label = _fields(fields, 3)
-    if label not in (IDLE, ""):
-        StrokeLabel.from_name(label)
-    return int(start), int(end), label
+def _read_spans(path, series, data_path, shortest):
+    """The ``(start, end, label)`` rows of a span CSV, ``labels.csv`` or
+    ``windows.csv``, over ``series`` as read from ``data_path``.  A label
+    is a stroke name, given back by its canonical name, ``IDLE`` or empty;
+    a span is a run of at least ``shortest`` rows of the series: ``0 <=
+    start`` and ``start + shortest <= end <= rows``."""
+    rows = len(series)
+
+    def convert(fields):
+        start, end, label = _fields(fields, 3)
+        if label not in (IDLE, ""):
+            label = StrokeLabel.from_name(label).name
+        start, end = int(start), int(end)
+        if not (0 <= start and start + shortest <= end <= rows):
+            raise StrokeSenseError(
+                f"span {start},{end} is not a run of at least {shortest} of the "
+                f"{rows} rows of {data_path}"
+            )
+        return start, end, label
+
+    return _read_csv(path, convert)
 
 
 def _feature_row(fields):
@@ -141,21 +156,10 @@ def _classifier(payload):
 
 
 def _windows_from_files(data_path, windows_path):
-    """The windows a ``windows.csv`` cuts from a data CSV; every span must
-    be at least 2 rows of the series (``0 <= start``, ``start + 2 <= end
-    <= rows``)."""
+    """The windows a ``windows.csv`` cuts from a data CSV; a window needs
+    2 rows for its statistics."""
     series = parse_series(Path(data_path).read_text())
-
-    def span(fields):
-        start, end, label = _span(fields)
-        if not (0 <= start and start + 2 <= end <= len(series)):
-            raise StrokeSenseError(
-                f"span {start},{end} is not a run of at least 2 of the "
-                f"{len(series)} rows of {data_path}"
-            )
-        return start, end, label
-
-    return cut_windows(series, _read_csv(windows_path, span))
+    return cut_windows(series, _read_spans(windows_path, series, data_path, shortest=2))
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -197,15 +201,9 @@ def _cmd_segment(args):
     windows = slide_windows(series, width=args.window, overlap=args.overlap)
     spans = []
     if args.labels:
-        def span(fields):
-            start, end, label = _span(fields)
-            if end > len(series):
-                raise StrokeSenseError(
-                    f"span {start},{end} ends past the {len(series)} rows of {args.infile}"
-                )
-            return start, end, label
-
-        spans = [s for s in _read_csv(args.labels, span) if s[2] != IDLE]
+        # an IDLE gap in labels.csv can be a single row
+        spans = _read_spans(args.labels, series, args.infile, shortest=1)
+        spans = [s for s in spans if s[2] != IDLE]
     starts = [w.start_index for w in windows]
     labels = majority_labels(starts, args.window, spans)
     rows = [(s, s + args.window, lab) for s, lab in zip(starts, labels)]

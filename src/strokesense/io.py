@@ -10,7 +10,6 @@ acceleration m/s^2, angular rate deg/s, orientation deg (Euler).
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Union
 
 import numpy as np
 
@@ -87,24 +86,20 @@ class SensorSeries:
         )
 
 
-def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
-    """Parse the canonical CSV layout into a :class:`SensorSeries`.
+def parse_series(text: str) -> SensorSeries:
+    """Parse CSV text in the canonical layout into a :class:`SensorSeries`.
 
-    ``source`` may be the whole text, an iterable of lines, or an open
-    text file; one byte-order mark in front of the first line is dropped.
-    Text is split into lines as ``str.splitlines()`` splits it, a slice of
-    about ``_CHUNK`` characters at a time, and the data rows stream from
+    One byte-order mark in front of the text is dropped.  The text is
+    split into lines as ``str.splitlines()`` splits it, a slice of about
+    ``_CHUNK`` characters at a time, and the data rows stream from
     that scan into one ``np.loadtxt`` call, which rounds exactly as
     ``float()`` does: beyond the text and the result, working memory is
     one slice and its lines.  Input ``loadtxt`` does not take cleanly (a
     bad field, field count or period directive, a ``#`` in a row, a
     non-finite value) is scanned again and read row by row, which accepts
     what ``float()`` accepts and raises the error for the first bad line.
-    Any other source is made a list once, so that it can be scanned twice.
     """
-    if not isinstance(source, str):
-        source = list(source)
-    scan = _RowScan(source)
+    scan = _RowScan(text)
     rows = iter(scan)
     first = next(rows, None)
     table = None
@@ -121,7 +116,7 @@ def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
         or table.shape[1] != 10
         or not np.isfinite(table).all()
     ):
-        scan = _RowScan(source)
+        scan = _RowScan(text)
         values = [_parse_row(scan.lineno, line) for line in scan]
         if scan.error is not None:
             raise scan.error
@@ -132,21 +127,21 @@ def parse_series(source: Union[str, Iterable[str]]) -> SensorSeries:
 
 
 class _RowScan:
-    """One pass over the data rows of a source, each stripped.
+    """One pass over the data rows of CSV text, each stripped.
 
     Iterating yields every row and sets ``lineno`` to its line number.
     Blank, header and comment lines are skipped; a ``# period=`` directive
     sets ``period``, and a bad one sets ``error`` and ends the scan.
     """
 
-    def __init__(self, source: Union[str, list]):
-        self.source = source
+    def __init__(self, text: str):
+        self.text = text
         self.lineno = 0
         self.period = DEFAULT_PERIOD
         self.error = None
 
     def __iter__(self):
-        lines = chain.from_iterable(_line_blocks(self.source))
+        lines = chain.from_iterable(_line_blocks(self.text))
         for lineno, raw in enumerate(lines, start=1):
             if lineno == 1:
                 raw = raw.removeprefix("\ufeff")
@@ -168,17 +163,14 @@ class _RowScan:
             yield line
 
 
-def _line_blocks(source: Union[str, list]):
-    """Yield the lines of ``source`` in blocks: text as ``splitlines()``
-    of slices of about ``_CHUNK`` characters, each cut just after a
-    ``"\\n"`` so that no line break spans two slices; a list as itself."""
-    if not isinstance(source, str):
-        yield source
-        return
-    start, end = 0, len(source)
+def _line_blocks(text: str):
+    """Yield the lines of ``text`` in blocks, the ``splitlines()`` of
+    slices of about ``_CHUNK`` characters, each cut just after a ``"\\n"``
+    so that no line break spans two slices."""
+    start, end = 0, len(text)
     while start < end:
-        cut = source.find("\n", start + _CHUNK) + 1 or end
-        yield source[start:cut].splitlines()
+        cut = text.find("\n", start + _CHUNK) + 1 or end
+        yield text[start:cut].splitlines()
         start = cut
 
 

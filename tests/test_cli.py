@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import strokesense
-from strokesense.cli import _read_csv, _span, _write_spans, build_parser, main
+from strokesense.cli import _read_spans, _write_spans, build_parser, main
 from strokesense.features import FEATURE_NAMES, window_features
 from strokesense.io import parse_series
 from strokesense.labels import IDLE, StrokeLabel
@@ -182,19 +182,35 @@ class TestFaultyCorpus:
 
     def test_labels_end_on_the_last_clean_row(self, faulty):
         d, _ = faulty
-        clean_rows = len(parse_series((d / "clean.csv").read_text()))
-        assert _read_csv(d / "labels.csv", _span)[-1][1] == clean_rows
+        clean = parse_series((d / "clean.csv").read_text())
+        assert _read_spans(d / "labels.csv", clean, d / "clean.csv", 1)[-1][1] == len(clean)
 
     def test_segment_rejects_labels_past_the_rows_of_in(self, faulty, tmp_path, capsys):
         d, _ = faulty
         data, labels, out = d / "data.csv", d / "labels.csv", tmp_path / "windows.csv"
         rows = len(parse_series(data.read_text()))
-        spans = _read_csv(labels, _span)
+        clean = parse_series((d / "clean.csv").read_text())
+        spans = _read_spans(labels, clean, d / "clean.csv", 1)
         k, (start, end, _) = next((k, s) for k, s in enumerate(spans) if s[1] > rows)
         assert run("segment", "--in", data, "--labels", labels, "--out", out) == 2
         err = capsys.readouterr().err
-        assert f"{labels} line {k + 2}: span {start},{end} ends past the {rows} rows of {data}" in err
+        assert (
+            f"{labels} line {k + 2}: span {start},{end} is not a run of at least 1 "
+            f"of the {rows} rows of {data}"
+        ) in err
         assert not out.exists()
+
+    def test_labels_may_hold_a_one_row_span(self, tmp_path):
+        # the floor of a labels.csv span is 1 row: this corpus has a 1-row IDLE gap
+        assert run("synth", "--seed", 1, "--strokes-per-class", 20, "--idle-fraction", 0.01,
+                   "--dropout-rate", 0.01, "--spike-rate", 0.002, "--out", tmp_path) == 0
+        data, clean = tmp_path / "data.csv", tmp_path / "clean.csv"
+        assert run("preprocess", "--in", data, "--out", clean) == 0
+        series = parse_series(clean.read_text())
+        spans = _read_spans(tmp_path / "labels.csv", series, clean, 1)
+        assert (1, IDLE) in {(e - s, lab) for s, e, lab in spans}
+        assert run("segment", "--in", clean, "--labels", tmp_path / "labels.csv",
+                   "--out", tmp_path / "windows.csv") == 0
 
 
 class TestPreprocess:
@@ -450,16 +466,17 @@ def test_batched_outputs_match_per_window_reference(artifacts, tmp_path, capsys)
 
 class TestWindowSpans:
     def test_csv_round_trip(self, tmp_path):
-        _, truth = generate(GenConfig(seed=6, strokes_per_class=2))
+        series, truth = generate(GenConfig(seed=6, strokes_per_class=2))
         path = tmp_path / "labels.csv"
         _write_spans(path, truth)
         assert path.read_text().splitlines()[0] == "start_index,end_index,label"
-        assert _read_csv(path, _span) == truth
+        assert _read_spans(path, series, "data.csv", 1) == truth
 
     @pytest.mark.parametrize("span", ["past_end", "reversed", "negative", "empty", "one_row"])
-    @pytest.mark.parametrize("command", ["extract", "build-profile"])
+    @pytest.mark.parametrize("command", ["segment", "extract", "build-profile"])
     def test_span_outside_series_is_data_error(self, pipeline, tmp_path, capsys, span, command):
-        rows = len((pipeline / "data.csv").read_text().splitlines()) - 2
+        data = pipeline / "data.csv"
+        rows = len(data.read_text().splitlines()) - 2
         start, end = {
             "past_end": (rows - 48, rows + 152),
             "reversed": (300, 100),
@@ -467,21 +484,40 @@ class TestWindowSpans:
             "empty": (100, 100),
             "one_row": (100, 101),
         }[span]
-        windows = tmp_path / "windows.csv"
-        windows.write_text(
+        spans = tmp_path / ("labels.csv" if command == "segment" else "windows.csv")
+        spans.write_text(
             f"start_index,end_index,label\n0,200,FOREHAND_ATTACK\n\n"
             f"{start},{end},FOREHAND_ATTACK\n"
         )
         out = tmp_path / "out"
-        if command == "extract":
-            argv = ["extract", "--out", out]
-        else:
-            argv = ["evaluate", "--build-profile", out]
-        assert run(*argv, "--in", pipeline / "data.csv", "--windows", windows) == 2
+        argv = {
+            "segment": ["segment", "--labels", spans, "--out", out],
+            "extract": ["extract", "--windows", spans, "--out", out],
+            "build-profile": ["evaluate", "--windows", spans, "--build-profile", out],
+        }[command]
+        code = run(*argv, "--in", data)
+        if command == "segment" and span == "one_row":
+            assert code == 0  # a labels.csv span needs 1 row, a window 2
+            return
+        assert code == 2
+        shortest = 1 if command == "segment" else 2
         err = capsys.readouterr().err
-        assert f"{windows} line 4: span {start},{end}" in err
-        assert f"the {rows} rows" in err
+        assert (
+            f"{spans} line 4: span {start},{end} is not a run of at least {shortest} "
+            f"of the {rows} rows of {data}"
+        ) in err
         assert not out.exists()
+
+    def test_segment_writes_canonical_stroke_names(self, pipeline, tmp_path):
+        text = (pipeline / "labels.csv").read_text()
+        for label in StrokeLabel:
+            text = text.replace(label.name, label.name.lower())
+        assert "forehand_attack" in text
+        lower = tmp_path / "labels.csv"
+        lower.write_text(text)
+        out = tmp_path / "windows.csv"
+        assert run("segment", "--in", pipeline / "data.csv", "--labels", lower, "--out", out) == 0
+        assert out.read_bytes() == (pipeline / "windows.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")

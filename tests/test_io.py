@@ -217,28 +217,15 @@ class TestChunkedScan:
             with pytest.raises(StrokeSenseError, match="^no data rows in input$"):
                 parse_series(text)
 
-    def test_list_of_lines(self):
-        text = _series_text(extra=["# period=0.02"])
-        lines = text.splitlines()
-        assert parse_series(lines) == _expected(period=0.02)
-        assert parse_series(["\ufeff" + lines[0]] + lines[1:]) == _expected(period=0.02)
-        assert parse_series(iter(lines)) == _expected(period=0.02)
-
-    def test_iterator_falls_back(self):
+    def test_loadtxt_reject_falls_back(self):
         # "-1_0.0" is a field float() takes and loadtxt does not, so the
-        # lines are read a second time, row by row
+        # text is scanned a second time and read row by row
         lines = _series_text().splitlines()
         lines[1] = lines[1].replace("-1.0", "-1_0.0", 1)
-        got = parse_series(iter(lines))
+        got = parse_series("\n".join(lines))
         assert got.channels[0, 0] == -10.0
         np.testing.assert_array_equal(got.channels[1:], _expected().channels[1:])
         np.testing.assert_array_equal(got.t, _expected().t)
-
-    def test_open_file(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("\ufeff" + _series_text(extra=["# period=0.02"]), encoding="utf-8")
-        with open(path, encoding="utf-8") as handle:
-            assert parse_series(handle) == _expected(period=0.02)
 
 
 class TestMemoryBound:
