@@ -19,7 +19,7 @@ from .errors import StrokeSenseError
 # window_features and score_window stay imported: perfbench/workloads.py times them here by name
 from .features import FEATURE_NAMES, N_FEATURES, feature_matrix, window_features
 from .io import parse_series, serialize_series
-from .labels import IDLE, N_CLASSES, StrokeLabel
+from .labels import IDLE, N_CLASSES, StrokeLabel, parse_label
 from .metrics import DEFAULT_ALPHA, classification_report, confusion, heatmap_csv
 from .mlp import DEFAULT_EPOCHS, DEFAULT_LR, MlpModel, mlp_init, mlp_predict_batch, mlp_train
 from .pca import DEFAULT_RETENTION, PcaModel, fit_pca, transform
@@ -50,7 +50,13 @@ def _summary(**kwargs):
 # --- artifact formats -----------------------------------------------------
 
 def _dump_json(path, obj):
-    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
+    """Write ``obj`` as JSON; a non-finite number, which no reader takes,
+    is a data error that names the file and writes nothing."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise StrokeSenseError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 def _load_json(path, convert):
@@ -100,15 +106,16 @@ def _write_spans(path, spans):
 def _read_spans(path, series, data_path, shortest):
     """The ``(start, end, label)`` rows of a span CSV, ``labels.csv`` or
     ``windows.csv``, over ``series`` as read from ``data_path``.  A label
-    is a stroke name, given back by its canonical name, ``IDLE`` or empty;
-    a span is a run of at least ``shortest`` rows of the series: ``0 <=
-    start`` and ``start + shortest <= end <= rows``."""
+    is read by :func:`parse_label` and given back as its canonical stroke
+    name, or ``IDLE`` for no stroke; a span is a run of at least
+    ``shortest`` rows of the series: ``0 <= start`` and ``start + shortest
+    <= end <= rows``."""
     rows = len(series)
 
     def convert(fields):
         start, end, label = _fields(fields, 3)
-        if label not in (IDLE, ""):
-            label = StrokeLabel.from_name(label).name
+        stroke = parse_label(label)
+        label = IDLE if stroke is None else stroke.name
         start, end = int(start), int(end)
         if not (0 <= start and start + shortest <= end <= rows):
             raise StrokeSenseError(
@@ -126,7 +133,8 @@ def _feature_row(fields):
     if not all(map(math.isfinite, row)):
         name, v = next((n, v) for n, v in zip(FEATURE_NAMES, row) if not math.isfinite(v))
         raise StrokeSenseError(f"feature {name} must be finite, got {v}")
-    return int(StrokeLabel.from_name(label)) if label else -1, row
+    stroke = parse_label(label)
+    return -1 if stroke is None else int(stroke), row
 
 
 def _read_features(path):

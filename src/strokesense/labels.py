@@ -1,6 +1,7 @@
 """Stroke class labels with fixed integer codes."""
 
 from enum import IntEnum
+from typing import Optional
 
 from .errors import StrokeSenseError
 
@@ -24,5 +25,11 @@ class StrokeLabel(IntEnum):
 #: Number of stroke classes.
 N_CLASSES = len(StrokeLabel)
 
-#: Sentinel used for non-stroke spans in ground-truth files.
+#: Label of a span with no stroke; a blank field means the same.
 IDLE = "IDLE"
+
+
+def parse_label(field: str) -> Optional[StrokeLabel]:
+    """The stroke a CSV label field names, in any case; ``None`` for a
+    blank field or ``IDLE``."""
+    return None if field.strip().upper() in ("", IDLE) else StrokeLabel.from_name(field)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import StrokeSenseError
 from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
-from .labels import IDLE, StrokeLabel
+from .labels import StrokeLabel, parse_label
 from .svm import smo_solve
 
 DEFAULT_WIDTH = 200
@@ -86,14 +86,14 @@ def cut_windows(
     series: SensorSeries, spans: Sequence[Tuple[int, int, str]]
 ) -> List[MotionWindow]:
     """One window per ``(start, end, label)`` span: rows ``start:end`` of
-    the series at its sample period.  A stroke name becomes its
-    :class:`StrokeLabel`; ``IDLE`` or ``""`` leaves the window unlabelled."""
+    the series at its sample period, labelled by :func:`parse_label`:
+    blank or ``IDLE`` leaves the window unlabelled."""
     return [
         MotionWindow(
             start_index=start,
             channels=series.channels[start:end],
             sample_period=series.sample_period,
-            label=None if label in (IDLE, "") else StrokeLabel.from_name(label),
+            label=parse_label(label),
         )
         for start, end, label in spans
     ]

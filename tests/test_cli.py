@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import strokesense
-from strokesense.cli import _read_spans, _write_spans, build_parser, main
+from strokesense.cli import _read_features, _read_spans, _write_spans, build_parser, main
+from strokesense.errors import StrokeSenseError
 from strokesense.features import FEATURE_NAMES, window_features
 from strokesense.io import parse_series
-from strokesense.labels import IDLE, StrokeLabel
+from strokesense.labels import IDLE, StrokeLabel, parse_label
 from strokesense.metrics import DEFAULT_ALPHA
 from strokesense.mlp import DEFAULT_EPOCHS, DEFAULT_LR
 from strokesense.pca import DEFAULT_RETENTION
@@ -559,6 +560,9 @@ _CSV_CASES = {
     "features-short-row": ("features.csv", 4, lambda line: line.rsplit(",", 1)[0],
                            "expected 181 fields, got 180",
                            ["fit-pca", "--in", "BAD", "--out", "OUT"]),
+    "features-lowercase-unknown-label": ("features.csv", 2, _replace_field(0, "lob"),
+                                         "unknown stroke label 'lob'",
+                                         ["fit-pca", "--in", "BAD", "--out", "OUT"]),
     "features-bad-label-train": ("features.csv", 3, _replace_field(0, "BOGUS"), "'BOGUS'",
                                  ["train", "--in", "BAD", "--pca", "pca.json", "--out", "OUT"]),
     "features-bad-label-predict": ("features.csv", 5, _replace_field(0, "BOGUS"), "'BOGUS'",
@@ -722,6 +726,96 @@ class TestMalformedArtifacts:
                    "--build-profile", tmp_path / "out") == 2
         assert "unknown stroke label 'BOGUS'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def seven(tmp_path_factory):
+    """The ``synth --seed 7 --strokes-per-class 2`` corpus, cut and featurized."""
+    d = tmp_path_factory.mktemp("seven")
+    assert run("synth", "--seed", 7, "--strokes-per-class", 2, "--out", d) == 0
+    assert run("segment", "--in", d / "data.csv", "--labels", d / "labels.csv",
+               "--out", d / "windows.csv") == 0
+    assert run("extract", "--in", d / "data.csv", "--windows", d / "windows.csv",
+               "--out", d / "features.csv") == 0
+    return d
+
+
+class TestLabelRule:
+    """One rule reads the label field of labels.csv, windows.csv and
+    features.csv: blank or ``IDLE`` in any case is no stroke, a stroke name
+    may be in any case, and anything else is a data error."""
+
+    @pytest.mark.parametrize("field, expected", [
+        ("", None), ("  ", None), (IDLE, None), ("idle", None), (" Idle ", None),
+        ("FOREHAND_ATTACK", StrokeLabel.FOREHAND_ATTACK),
+        ("backhand_chop", StrokeLabel.BACKHAND_CHOP),
+        (" Forehand_Push ", StrokeLabel.FOREHAND_PUSH),
+    ])
+    def test_parse_label(self, field, expected):
+        assert parse_label(field) is expected
+
+    def test_forehand_attack_is_code_zero_not_none(self):
+        label = parse_label("forehand_attack")
+        assert label is not None and int(label) == 0
+
+    @pytest.mark.parametrize("field", ["LOB", "IDLE_", "FOREHAND", "0"])
+    def test_parse_label_rejects_unknown_names(self, field):
+        with pytest.raises(StrokeSenseError, match=f"unknown stroke label '{field}'"):
+            parse_label(field)
+
+    @pytest.mark.parametrize("label", [IDLE, "idle", " Idle ", ""],
+                             ids=["IDLE", "idle", "padded", "blank"])
+    def test_no_stroke_span_loses_a_tie_in_labels_csv(self, seven, tmp_path, label):
+        labels, out = tmp_path / "labels.csv", tmp_path / "windows.csv"
+        labels.write_text(f"start_index,end_index,label\n0,100,{label}\n100,300,FOREHAND_ATTACK\n")
+        assert run("segment", "--in", seven / "data.csv", "--labels", labels, "--out", out) == 0
+        assert out.read_text().splitlines()[1] == "0,200,FOREHAND_ATTACK"
+
+    def test_idle_in_any_case_leaves_a_window_unlabelled(self, seven, tmp_path):
+        out = {}
+        for label in (IDLE, "idle", ""):
+            windows = tmp_path / f"windows_{label}.csv"
+            windows.write_text(f"start_index,end_index,label\n0,200,{label}\n200,400,backhand_push\n")
+            out[label] = tmp_path / f"features_{label}.csv"
+            assert run("extract", "--in", seven / "data.csv", "--windows", windows,
+                       "--out", out[label]) == 0
+        rows = out[""].read_text().splitlines()
+        assert [row.split(",", 1)[0] for row in rows[1:]] == ["", "BACKHAND_PUSH"]
+        assert out[IDLE].read_text() == out["idle"].read_text() == out[""].read_text()
+
+    @pytest.mark.parametrize("label", [IDLE, "idle"])
+    def test_idle_feature_row_is_unlabelled(self, seven, tmp_path, label):
+        lines = (seven / "features.csv").read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if i and not line.startswith(","))
+        codes, _ = _read_features(seven / "features.csv")
+        assert codes[k - 1] >= 0
+        lines[k] = label + "," + lines[k].split(",", 1)[1]
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        got, _ = _read_features(bad)
+        assert list(got) == [*codes[: k - 1], -1, *codes[k:]]
+        assert run("fit-pca", "--in", bad, "--out", tmp_path / "pca.json") == 0
+
+    def test_evaluate_stroke_must_be_a_stroke(self, seven, tmp_path, capsys):
+        out = tmp_path / "profile.json"
+        assert run("evaluate", "--in", seven / "data.csv", "--windows", seven / "windows.csv",
+                   "--stroke", "idle", "--build-profile", out) == 2
+        assert "unknown stroke label 'idle'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_fit_pca_refuses_to_write_a_non_finite_model(seven, tmp_path, capsys):
+    """A finite 1e308 feature overflows the PCA scale; fit-pca names the
+    file it would have written and writes nothing, since no reader takes
+    ``Infinity``."""
+    lines = (seven / "features.csv").read_text().splitlines()
+    lines[2] = _replace_field(1, "1e308")(lines[2])
+    features, out = tmp_path / "features.csv", tmp_path / "pca.json"
+    features.write_text("\n".join(lines) + "\n")
+    with pytest.warns(RuntimeWarning):
+        assert run("fit-pca", "--in", features, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert not out.exists()
 
 
 #: The ``artifacts`` scoring chain, for a fresh interpreter: ``{d}`` is its
