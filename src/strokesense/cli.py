@@ -163,6 +163,16 @@ def _classifier(payload):
     return kind.from_dict(payload)
 
 
+def _project(path, X):
+    """The PCA model in ``path`` and ``X`` projected by it; a model that
+    fails to load or to project ``X`` is a data error that names the file."""
+    pca = _load_json(path, PcaModel.from_dict)
+    try:
+        return pca, transform(pca, X)
+    except StrokeSenseError as exc:
+        raise StrokeSenseError(f"{path}: {exc}") from None
+
+
 def _windows_from_files(data_path, windows_path):
     """The windows a ``windows.csv`` cuts from a data CSV; a window needs
     2 rows for its statistics."""
@@ -250,8 +260,7 @@ def _cmd_train(args):
     if not keep.any():
         raise StrokeSenseError("no labeled rows to train on")
     X, y = X[keep], y[keep]
-    pca = _load_json(args.pca, PcaModel.from_dict)
-    Z = transform(pca, X)
+    _, Z = _project(args.pca, X)
     train_idx, test_idx = _split(len(Z), args.test_fraction, args.seed)
     if len(train_idx) == 0:
         raise StrokeSenseError("empty training split")
@@ -284,13 +293,12 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     y, X = _read_features(args.infile)
-    pca = _load_json(args.pca, PcaModel.from_dict)
+    pca, Z = _project(args.pca, X)
     model = _load_json(args.model, _classifier)
     if model.n_inputs not in (None, pca.k):
         raise StrokeSenseError(
             f"{args.pca} keeps {pca.k} components but {args.model} takes {model.n_inputs} inputs"
         )
-    Z = transform(pca, X)
     predict = dag_predict_batch if isinstance(model, DagSvmModel) else mlp_predict_batch
     predicted = predict(model, Z)
     rows = ([str(true), str(int(pred))] for true, pred in zip(y.tolist(), predicted))

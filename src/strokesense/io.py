@@ -26,7 +26,7 @@ _BLOCK = 1024
 
 @dataclass(frozen=True)
 class GapReport:
-    """A spacing anomaly between samples ``index`` and ``index + 1``."""
+    """Rows ``index`` and ``index + 1`` lie ``dt`` apart, ``missing`` grid slots between."""
 
     index: int
     dt: float
@@ -204,14 +204,25 @@ def serialize_series(series: SensorSeries) -> str:
     return "".join(parts)
 
 
-def validate_series(series: SensorSeries) -> list:
-    """Report every adjacent pair whose spacing deviates from the nominal
-    period by more than half a period, with the implied missing-row count."""
+def grid_slots(series: SensorSeries) -> np.ndarray:
+    """Each row's slot on the nominal sample grid, ``round((t - t[0]) / period)``;
+    two rows in one slot raise :class:`StrokeSenseError`."""
     p = series.sample_period
-    dts = np.diff(series.t)
-    reports = []
-    for i in np.nonzero(np.abs(dts - p) > 0.5 * p)[0]:
-        dt = float(dts[i])
-        missing = max(int(round(dt / p)) - 1, 0)
-        reports.append(GapReport(index=int(i), dt=dt, missing=missing))
-    return reports
+    slots = np.round((series.t - series.t[0]) / p).astype(int)
+    clash = np.nonzero(np.diff(slots) == 0)[0]
+    if clash.size:
+        i = int(clash[0])
+        raise StrokeSenseError(
+            f"rows {i} and {i + 1} (t={float(series.t[i])!r}, "
+            f"{float(series.t[i + 1])!r}) round to the same grid slot "
+            f"{int(slots[i])} at period {p!r}"
+        )
+    return slots
+
+
+def validate_series(series: SensorSeries) -> list:
+    """Report every adjacent pair whose :func:`grid_slots` lie more than one
+    apart, with the rows missing between them: the rows that
+    :func:`~strokesense.preprocessing.preprocess_series` restores."""
+    steps, dts = np.diff(grid_slots(series)), np.diff(series.t)
+    return [GapReport(int(i), float(dts[i]), int(steps[i]) - 1) for i in np.nonzero(steps > 1)[0]]

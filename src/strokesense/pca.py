@@ -122,13 +122,18 @@ def fit_pca(X: np.ndarray, retention: float = DEFAULT_RETENTION) -> PcaModel:
 
 
 def transform(model: PcaModel, f: np.ndarray) -> np.ndarray:
-    """Project a feature vector (or matrix) onto the retained components."""
+    """Project a feature vector (or matrix) onto the retained components;
+    a projection past the float range raises :class:`StrokeSenseError`."""
     f = np.asarray(f, dtype=float)
     if f.shape[-1] != model.n_features:
         raise StrokeSenseError(
             f"expected {model.n_features} features, got {f.shape[-1]}"
         )
-    return ((f - model.mean) / model.scale) @ model.components.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = ((f - model.mean) / model.scale) @ model.components.T
+    if not np.isfinite(z).all():
+        raise StrokeSenseError("projection is not finite")
+    return z
 
 
 def contribution_rates(model: PcaModel) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import StrokeSenseError
-from .io import SensorSeries
+from .io import SensorSeries, grid_slots
 
 SIGMA_EPS_SCALE = 1e-12  # degenerate-spread guard for outlier removal
 DEFAULT_K0 = 0.3
@@ -204,23 +204,14 @@ def preprocess_series(
 
     Rows implied by timestamp gaps are re-created on the nominal sample
     grid and interpolated alongside outlier-induced gaps.  The result is
-    gap-free and uniformly sampled.  Two rows that round to the same grid
-    slot raise :class:`StrokeSenseError` rather than one overwriting the
-    other.
+    gap-free and uniformly sampled.  Rows land on their
+    :func:`~strokesense.io.grid_slots`, which raises for two rows in one
+    slot rather than let one overwrite the other.
     """
     p = series.sample_period
-    t0 = float(series.t[0])
-    idx = np.round((series.t - t0) / p).astype(int)
-    clash = np.nonzero(np.diff(idx) == 0)[0]
-    if clash.size:
-        i = int(clash[0])
-        raise StrokeSenseError(
-            f"rows {i} and {i + 1} (t={float(series.t[i])!r}, "
-            f"{float(series.t[i + 1])!r}) round to the same grid slot "
-            f"{int(idx[i])} at period {p!r}"
-        )
+    idx = grid_slots(series)
     n_full = int(idx[-1]) + 1
-    grid_t = t0 + np.arange(n_full) * p
+    grid_t = series.t[0] + np.arange(n_full) * p
     base_present = np.zeros(n_full, dtype=bool)
     base_present[idx] = True
 

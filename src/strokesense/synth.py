@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import StrokeSenseError
-from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
+from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries, grid_slots
 from .labels import IDLE, StrokeLabel
 from .windows import MotionWindow, cut_windows
 
@@ -166,7 +166,7 @@ def truth_on_grid(
     grid, the rows :func:`~strokesense.preprocessing.preprocess_series`
     restores: a span runs from its first to its last surviving row's grid
     slot.  A span with no surviving row is dropped."""
-    slot = np.round((series.t - series.t[0]) / series.sample_period).astype(int)
+    slot = grid_slots(series)
     return [(int(slot[s]), int(slot[e - 1]) + 1, label) for s, e, label in truth if e > s]
 
 

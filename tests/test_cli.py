@@ -342,6 +342,29 @@ class TestTrainPredictReport:
         assert "error:" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("labelled, flags, message", [
+        (0, [], "no labeled rows to train on"),
+        (1, ["--test-fraction", 0.6], "empty training split"),
+    ], ids=["no-labeled-row", "empty-split"])
+    def test_too_few_labeled_rows_rejected(self, pipeline, tmp_path, capsys, labelled, flags,
+                                           message):
+        header, *rows = (pipeline / "features.csv").read_text().splitlines()
+        rows = [row for row in rows if not row.startswith(",")]
+        rows = rows[:labelled] + ["," + row.split(",", 1)[1] for row in rows[labelled:]]
+        features, model = tmp_path / "features.csv", tmp_path / "model.json"
+        features.write_text("\n".join([header, *rows]) + "\n")
+        assert run("train", "--in", features, "--pca", pipeline / "pca.json",
+                   "--out", model, *flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+
+    def test_report_without_ground_truth_rejected(self, tmp_path, capsys):
+        preds, report = tmp_path / "preds.csv", tmp_path / "report.json"
+        preds.write_text("true,predicted\n-1,3\n-1,0\n")
+        assert run("report", "--predictions", preds, "--out", report) == 2
+        assert "report needs ground-truth labels" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_no_windows(self, artifacts, pipeline, tmp_path, capsys):
         """extract -> predict and evaluate --profile on a header-only
         windows.csv: empty artifacts, exit 0."""
@@ -639,6 +662,13 @@ _SHAPE_CASES = {
                           "pair (0, 3): gamma must be positive, got 0.0", _PREDICT),
     "dagsvm-negative-gamma": ("model.json", lambda d: d["models"][2].update(gamma=-1.0),
                               "pair (0, 3): gamma must be positive, got -1.0", _PREDICT),
+    "unknown-model-type": ("model.json", lambda d: d.update(type="svm"),
+                           "unknown model type 'svm'", _PREDICT),
+    # finite, but it projects the features past the float range
+    "pca-huge-component": ("pca.json", lambda d: d["components"][0].__setitem__(0, 1e308),
+                           "projection is not finite", _PREDICT_PCA),
+    "pca-huge-component-train": ("pca.json", lambda d: d["components"][0].__setitem__(0, 1e308),
+                                 "projection is not finite", _JSON_CASES["pca"][1]),
 }
 
 
@@ -936,6 +966,12 @@ class TestConfig:
         err = capsys.readouterr().err
         assert message in err
         assert "cannot read config" not in err
+
+    def test_config_without_subcommand_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        assert run("--config", cfg) == 1
+        assert "error: --config requires a subcommand" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -17,6 +17,7 @@ from strokesense.io import (
     serialize_series,
     validate_series,
 )
+from strokesense.preprocessing import preprocess_series
 from strokesense.synth import GenConfig, generate
 
 
@@ -280,6 +281,39 @@ class TestValidate:
     def test_two_gaps(self):
         reports = validate_series(self._series([0.0, 0.02, 0.03, 0.05, 0.06]))
         assert [r.missing for r in reports] == [1, 1]
+
+    def test_jitter_within_a_slot_is_no_gap(self):
+        # slots 0, 1, 2, 3, 4: preprocess restores no row, though two
+        # spacings stray from the period by more than half of it
+        assert validate_series(self._series([0.0, 0.013, 0.017, 0.033, 0.04])) == []
+
+    @staticmethod
+    def _drifted(scale):
+        series, _ = generate(GenConfig(seed=7, strokes_per_class=2))
+        t0 = series.t[0]
+        return SensorSeries(t0 + (series.t - t0) * scale, series.channels, series.sample_period)
+
+    @pytest.mark.parametrize("scale", [0.999, 0.99])
+    def test_fast_clock_raises_as_preprocess_does(self, scale):
+        series = self._drifted(scale)
+        with pytest.raises(StrokeSenseError, match="round to the same grid slot") as expected:
+            preprocess_series(series)
+        with pytest.raises(StrokeSenseError) as reported:
+            validate_series(series)
+        assert str(reported.value) == str(expected.value)
+
+    @pytest.mark.parametrize("scale, restored", [(1.001, 3), (1.01, 34)])
+    def test_slow_clock_reports_the_rows_preprocess_restores(self, scale, restored):
+        series = self._drifted(scale)
+        assert len(preprocess_series(series)) - len(series) == restored
+        assert sum(r.missing for r in validate_series(series)) == restored
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_dropout_reports_the_rows_preprocess_restores(self, seed):
+        raw, _ = generate(GenConfig(seed=seed, strokes_per_class=3, spike_rate=0.002,
+                                    dropout_rate=0.01))
+        clean = preprocess_series(raw)
+        assert sum(r.missing for r in validate_series(raw)) == len(clean) - len(raw)
 
     def test_immutable_arrays(self):
         series = self._series([0.0, 0.01])

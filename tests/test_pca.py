@@ -107,6 +107,15 @@ class TestTransform:
         with pytest.raises(StrokeSenseError, match=f"^expected {X.shape[1]} features, got 10$"):
             transform(model, X[:, :10])
 
+    def test_projection_past_float_range_raises(self):
+        # finite entries that a fit never writes, which overflow the
+        # projection to inf, and inf - inf to nan, with no warning
+        model = PcaModel(mean=np.zeros(2), scale=np.ones(2),
+                         components=np.array([[1e308, 1e308], [1e308, -1e308]]),
+                         eigenvalues=np.ones(2), k=2, retention=1.0)
+        with pytest.raises(StrokeSenseError, match="^projection is not finite$"):
+            transform(model, np.array([[2.0, 2.0], [2.0, -2.0]]))
+
     def test_transformed_variances_match_eigenvalues(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(400, 6)) * np.array([5, 4, 3, 2, 1, 0.5])
