@@ -7,6 +7,7 @@ success, 1 usage error, 2 data error.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -59,16 +60,27 @@ def _dump_json(path, obj):
     Path(path).write_text(text + "\n")
 
 
-def _load_json(path, convert):
-    """``convert`` of the JSON object in ``path``; a malformed file, or one
-    that ``convert`` rejects, is a data error that names the file."""
+def _read(path, parse):
+    """``parse`` of the text of ``path``; a file that does not decode, or
+    that ``parse`` rejects, is a data error that names the file: ``<path>
+    line <n>: <reason>`` for a row, ``<path>: <reason>`` otherwise."""
     try:
-        obj = json.loads(Path(path).read_text())
-        if not isinstance(obj, dict):
-            raise StrokeSenseError(f"expected a JSON object, got {type(obj).__name__}")
-        return convert(obj)
+        return parse(Path(path).read_text())
     except (ValueError, KeyError, TypeError) as exc:
-        raise StrokeSenseError(f"{path}: {exc}") from None
+        sep = " " if str(exc).startswith("line ") else ": "
+        raise StrokeSenseError(f"{path}{sep}{exc}") from None
+
+
+def _json_object(text):
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise StrokeSenseError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _load_json(path, convert):
+    """``convert`` of the JSON object in ``path``."""
+    return _read(path, lambda text: convert(_json_object(text)))
 
 
 def _write_csv(path, header, rows):
@@ -81,15 +93,18 @@ def _read_csv(path, convert):
     """``convert(fields)`` for each data row of a CSV artifact, skipping the
     header and blank lines; a row that ``convert`` rejects is a data error
     that names the file and line."""
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if lineno == 1 or not line.strip():
-            continue
-        try:
-            out.append(convert(line.split(",")))
-        except (ValueError, KeyError) as exc:
-            raise StrokeSenseError(f"{path} line {lineno}: {exc}") from None
-    return out
+    def parse(text):
+        out = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if lineno == 1 or not line.strip():
+                continue
+            try:
+                out.append(convert(line.split(",")))
+            except (ValueError, KeyError) as exc:
+                raise StrokeSenseError(f"line {lineno}: {exc}") from None
+        return out
+
+    return _read(path, parse)
 
 
 def _fields(fields, n):
@@ -156,27 +171,32 @@ def _prediction(fields):
 
 
 def _classifier(payload):
-    """The DAGSVM or MLP a model file holds."""
+    """The DAGSVM or MLP a model file holds, and the ``pca_sha256`` of the
+    PCA file it was trained with."""
     kind = {"dagsvm": DagSvmModel, "mlp": MlpModel}.get(payload.get("type"))
     if kind is None:
         raise StrokeSenseError(f"unknown model type {payload.get('type')!r}")
-    return kind.from_dict(payload)
+    if "pca_sha256" not in payload:
+        raise StrokeSenseError("no pca_sha256 names the PCA it was trained with; retrain it")
+    return kind.from_dict(payload), payload["pca_sha256"]
 
 
-def _project(path, X):
-    """The PCA model in ``path`` and ``X`` projected by it; a model that
-    fails to load or to project ``X`` is a data error that names the file."""
-    pca = _load_json(path, PcaModel.from_dict)
+def _project(args, X):
+    """The PCA model in ``--pca``, the SHA-256 of its text, and ``X``, read
+    from ``--in``, projected by it; a projection that is not finite is a
+    data error that names both files."""
+    pca, digest = _read(args.pca, lambda text: (
+        PcaModel.from_dict(_json_object(text)), hashlib.sha256(text.encode()).hexdigest()))
     try:
-        return pca, transform(pca, X)
+        return pca, digest, transform(pca, X)
     except StrokeSenseError as exc:
-        raise StrokeSenseError(f"{path}: {exc}") from None
+        raise StrokeSenseError(f"{args.pca}: {exc} for {args.infile}") from None
 
 
 def _windows_from_files(data_path, windows_path):
     """The windows a ``windows.csv`` cuts from a data CSV; a window needs
     2 rows for its statistics."""
-    series = parse_series(Path(data_path).read_text())
+    series = _read(data_path, parse_series)
     return cut_windows(series, _read_spans(windows_path, series, data_path, shortest=2))
 
 
@@ -203,7 +223,7 @@ def _cmd_synth(args):
 
 
 def _cmd_preprocess(args):
-    series = parse_series(Path(args.infile).read_text())
+    series = _read(args.infile, parse_series)
     cleaned = preprocess_series(series, k0=args.k0, delta_a=args.delta_a)
     Path(args.out).write_text(serialize_series(cleaned))
     _summary(
@@ -215,7 +235,7 @@ def _cmd_preprocess(args):
 
 
 def _cmd_segment(args):
-    series = parse_series(Path(args.infile).read_text())
+    series = _read(args.infile, parse_series)
     windows = slide_windows(series, width=args.window, overlap=args.overlap)
     spans = []
     if args.labels:
@@ -232,7 +252,16 @@ def _cmd_segment(args):
 def _cmd_extract(args):
     windows = _windows_from_files(args.infile, args.windows)
     labels = [w.label.name if w.label is not None else "" for w in windows]
-    X = feature_matrix(windows)
+    # a finite sample near the float range overflows its moments
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = feature_matrix(windows)
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        start = windows[i].start_index
+        raise StrokeSenseError(
+            f"{args.infile}: feature {FEATURE_NAMES[j]} of window {start},{start + windows[i].width} "
+            f"must be finite, got {X[i, j]}"
+        )
     rows = ([lab, *map(repr, row)] for lab, row in zip(labels, X.tolist()))
     _write_csv(args.out, ["label", *FEATURE_NAMES], rows)
     _summary(command="extract", windows=len(windows), features=X.shape[1], out=args.out)
@@ -260,7 +289,7 @@ def _cmd_train(args):
     if not keep.any():
         raise StrokeSenseError("no labeled rows to train on")
     X, y = X[keep], y[keep]
-    _, Z = _project(args.pca, X)
+    _, digest, Z = _project(args, X)
     train_idx, test_idx = _split(len(Z), args.test_fraction, args.seed)
     if len(train_idx) == 0:
         raise StrokeSenseError("empty training split")
@@ -279,7 +308,7 @@ def _cmd_train(args):
         run = {"epochs": len(net.loss_history), "final_loss": net.loss_history[-1]}
 
     accuracy = float((predicted == y[test_idx]).mean()) if len(test_idx) else None
-    _dump_json(args.out, payload)
+    _dump_json(args.out, {**payload, "pca_sha256": digest})
     _summary(
         command="train",
         model=args.model,
@@ -293,12 +322,14 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     y, X = _read_features(args.infile)
-    pca, Z = _project(args.pca, X)
-    model = _load_json(args.model, _classifier)
+    pca, digest, Z = _project(args, X)
+    model, trained_with = _load_json(args.model, _classifier)
     if model.n_inputs not in (None, pca.k):
         raise StrokeSenseError(
             f"{args.pca} keeps {pca.k} components but {args.model} takes {model.n_inputs} inputs"
         )
+    if trained_with != digest:
+        raise StrokeSenseError(f"{args.model} was trained with another PCA than {args.pca}")
     predict = dag_predict_batch if isinstance(model, DagSvmModel) else mlp_predict_batch
     predicted = predict(model, Z)
     rows = ([str(true), str(int(pred))] for true, pred in zip(y.tolist(), predicted))
@@ -366,7 +397,9 @@ def _cmd_report(args):
     # unlabelled windows have true code -1
     pairs = [(t, p) for t, p in _read_csv(args.predictions, _prediction) if t >= 0]
     if not pairs:
-        raise StrokeSenseError("report needs ground-truth labels in the predictions file")
+        raise StrokeSenseError(
+            f"{args.predictions}: report needs ground-truth labels in the predictions file"
+        )
     m = confusion(*zip(*pairs))
     report = classification_report(m, alpha=args.alpha)
     _dump_json(args.out, report)

@@ -121,7 +121,9 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.n_inputs:
         raise StrokeSenseError(f"expected {model.n_inputs} inputs, got {x.shape[-1]}")
-    _, probs = _forward_pass(model, x)
+    # an input to tanh that overflows to ±inf gives its exact limit, ±1
+    with np.errstate(over="ignore"):
+        _, probs = _forward_pass(model, x)
     return probs
 
 

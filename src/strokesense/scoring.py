@@ -233,11 +233,12 @@ def indicator_scores(values: np.ndarray, profile: StandardProfile) -> np.ndarray
     v = np.asarray(values, dtype=float)
     p = profile
     scale = np.where(_MAXIMAL, p.up - p.down, 1.0)  # only maximal ones have up > down
-    # Far above the range exp overflows to inf and the score is exactly 1.
+    # Far above the range exp overflows to inf and the score is exactly 1;
+    # a d/k that overflows to inf scores exactly 0.
     with np.errstate(over="ignore"):
         maximal = 1.0 - 1.0 / (1.0 + np.exp((v - p.center) / scale))
-    # lo <= hi, so at most one term is non-zero: d/k1 below the band, d/k2 above it
-    interval = np.exp(-(np.maximum(p.lo - v, 0.0) / p.k1 + np.maximum(v - p.hi, 0.0) / p.k2))
+        # lo <= hi, so at most one term is non-zero: d/k1 below the band, d/k2 above it
+        interval = np.exp(-(np.maximum(p.lo - v, 0.0) / p.k1 + np.maximum(v - p.hi, 0.0) / p.k2))
     return np.where(_MAXIMAL, maximal, interval)
 
 

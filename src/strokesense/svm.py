@@ -140,8 +140,9 @@ class KernelSvmModel:
         """Rejects with StrokeSenseError support vectors that are not a 2-D
         table (``[]`` stands for none), a model with one coefficient too many
         or too few for its support vectors, or with a non-finite support
-        vector, coefficient, ``b`` or ``gamma``, or a ``gamma`` that is not
-        positive, as training does."""
+        vector, coefficient, ``b`` or ``gamma``, a support vector whose
+        squared norm, which every kernel value needs, overflows, or a
+        ``gamma`` that is not positive, as training does."""
         model = cls(
             support_vectors=np.array(d["support_vectors"], dtype=float),
             coef=np.array(d["coef"], dtype=float),
@@ -163,6 +164,12 @@ class KernelSvmModel:
         for name in ("support_vectors", "coef", "b", "gamma"):
             if not np.isfinite(getattr(model, name)).all():
                 raise StrokeSenseError(f"pair {model.class_pair}: {name} must be finite")
+        with np.errstate(over="ignore"):
+            norms = np.sum(model.support_vectors * model.support_vectors, axis=-1)
+        if not np.isfinite(norms).all():
+            raise StrokeSenseError(
+                f"pair {model.class_pair}: support vector squared norms must be finite"
+            )
         if model.gamma <= 0:
             raise StrokeSenseError(f"pair {model.class_pair}: gamma must be positive, got {model.gamma}")
         return model

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -362,7 +363,9 @@ class TestTrainPredictReport:
         preds, report = tmp_path / "preds.csv", tmp_path / "report.json"
         preds.write_text("true,predicted\n-1,3\n-1,0\n")
         assert run("report", "--predictions", preds, "--out", report) == 2
-        assert "report needs ground-truth labels" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {preds}: ")
+        assert "report needs ground-truth labels" in err
         assert not report.exists()
 
     def test_no_windows(self, artifacts, pipeline, tmp_path, capsys):
@@ -569,9 +572,24 @@ def _replace_field(k, value):
     return edit
 
 
+def _drop_last_field(line):
+    return line.rsplit(",", 1)[0]
+
+
 #: id: (artifact, line, edit of that line, what the error names, command);
 #: ``BAD`` stands for the corrupted artifact, ``OUT`` for the output.
 _CSV_CASES = {
+    "data-short-row-preprocess": ("data.csv", 5, _drop_last_field, "expected 10 fields, got 9",
+                                  ["preprocess", "--in", "BAD", "--out", "OUT"]),
+    "data-short-row-segment": ("data.csv", 5, _drop_last_field, "expected 10 fields, got 9",
+                               ["segment", "--in", "BAD", "--labels", "labels.csv",
+                                "--out", "OUT"]),
+    "data-short-row-extract": ("data.csv", 5, _drop_last_field, "expected 10 fields, got 9",
+                               ["extract", "--in", "BAD", "--windows", "windows.csv",
+                                "--out", "OUT"]),
+    "data-short-row-evaluate": ("data.csv", 5, _drop_last_field, "expected 10 fields, got 9",
+                                ["evaluate", "--in", "BAD", "--windows", "windows.csv",
+                                 "--profile", "profile.json", "--out", "OUT"]),
     "labels-short-row": ("labels.csv", 3, lambda _: "0,200", "expected 3 fields, got 2",
                          ["segment", "--in", "data.csv", "--labels", "BAD", "--out", "OUT"]),
     "labels-unknown-stroke": ("labels.csv", 2, lambda _: "0,300,LOB", "unknown stroke label 'LOB'",
@@ -580,7 +598,7 @@ _CSV_CASES = {
                           ["extract", "--in", "data.csv", "--windows", "BAD", "--out", "OUT"]),
     "features-bad-float": ("features.csv", 3, _replace_field(1, "1x5"), "'1x5'",
                            ["fit-pca", "--in", "BAD", "--out", "OUT"]),
-    "features-short-row": ("features.csv", 4, lambda line: line.rsplit(",", 1)[0],
+    "features-short-row": ("features.csv", 4, _drop_last_field,
                            "expected 181 fields, got 180",
                            ["fit-pca", "--in", "BAD", "--out", "OUT"]),
     "features-lowercase-unknown-label": ("features.csv", 2, _replace_field(0, "lob"),
@@ -621,8 +639,9 @@ _PREDICT_PCA = ["predict", "--in", "features.csv", "--pca", "BAD", "--model", "m
                 "--out", "OUT"]
 
 #: id: (artifact, edit of its JSON object, what the error names, command);
-#: each edit keeps the file valid JSON but makes its shapes disagree or puts
-#: in a value that no fit writes (a non-finite number, a scale of 0).
+#: each edit keeps the file valid JSON but makes its shapes disagree, puts
+#: in a value that no fit writes (a non-finite number, a scale of 0), or
+#: drops the PCA a model names.
 _SHAPE_CASES = {
     "pca-component-column": ("pca.json",
                              lambda d: d.update(components=[r[:-1] for r in d["components"]]),
@@ -662,13 +681,35 @@ _SHAPE_CASES = {
                           "pair (0, 3): gamma must be positive, got 0.0", _PREDICT),
     "dagsvm-negative-gamma": ("model.json", lambda d: d["models"][2].update(gamma=-1.0),
                               "pair (0, 3): gamma must be positive, got -1.0", _PREDICT),
+    # finite, but its squared norm, which every kernel value needs, is not
+    "dagsvm-huge-support-vector": ("model.json",
+                                   lambda d: d["models"][0]["support_vectors"][0].__setitem__(
+                                       0, 1e308),
+                                   "pair (0, 1): support vector squared norms must be finite",
+                                   _PREDICT),
     "unknown-model-type": ("model.json", lambda d: d.update(type="svm"),
                            "unknown model type 'svm'", _PREDICT),
+    "model-without-its-pca": ("mlp.json", lambda d: d.pop("pca_sha256"),
+                              "no pca_sha256 names the PCA it was trained with; retrain it",
+                              _PREDICT),
     # finite, but it projects the features past the float range
     "pca-huge-component": ("pca.json", lambda d: d["components"][0].__setitem__(0, 1e308),
                            "projection is not finite", _PREDICT_PCA),
     "pca-huge-component-train": ("pca.json", lambda d: d["components"][0].__setitem__(0, 1e308),
                                  "projection is not finite", _JSON_CASES["pca"][1]),
+}
+
+#: Each input kind a subcommand reads, by a command that reads it as ``BAD``.
+_INPUT_KINDS = {
+    "data.csv": _CSV_CASES["data-short-row-preprocess"][4],
+    "labels.csv": _CSV_CASES["labels-short-row"][4],
+    "windows.csv": _CSV_CASES["windows-bad-label"][4],
+    "features.csv": _CSV_CASES["features-short-row"][4],
+    "predictions.csv": _CSV_CASES["predictions-short-row"][4],
+    "pca.json": _JSON_CASES["pca"][1],
+    "model.json": _PREDICT,
+    "mlp.json": _PREDICT,
+    "profile.json": _JSON_CASES["profile"][1],
 }
 
 
@@ -723,6 +764,26 @@ class TestMalformedArtifacts:
         assert err.startswith(f"error: {bad}: ")
         assert reason in err
 
+    @pytest.mark.parametrize("name", list(_INPUT_KINDS))
+    def test_undecodable_bytes_name_file(self, artifacts, tmp_path, capsys, name):
+        data = (artifacts / name).read_bytes()
+        bad = tmp_path / name
+        bad.write_bytes(data[: len(data) // 2] + b"\xc0\x80" + data[len(data) // 2:])
+        assert self._run(artifacts, tmp_path, bad, _INPUT_KINDS[name]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_huge_feature_names_pca_and_features(self, artifacts, tmp_path, capsys):
+        """A finite 1e308 feature projects past the float range: the fault
+        may lie in either file, so the error names both."""
+        lines = (artifacts / "features.csv").read_text().splitlines()
+        lines[2] = _replace_field(8, "1e308")(lines[2])
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = _CSV_CASES["features-nan"][4]
+        assert self._run(artifacts, tmp_path, bad, argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {artifacts / 'pca.json'}: projection is not finite for {bad}\n"
+
     @pytest.mark.parametrize("model", ["model.json", "mlp.json"], ids=["dagsvm", "mlp"])
     def test_pca_and_model_of_other_widths_name_both(self, artifacts, tmp_path, capsys, model):
         pca = tmp_path / "pca.json"
@@ -756,6 +817,64 @@ class TestMalformedArtifacts:
                    "--build-profile", tmp_path / "out") == 2
         assert "unknown stroke label 'BOGUS'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestModelNamesItsPca:
+    """``train`` records the SHA-256 of the ``--pca`` text in the model file
+    (``pca_sha256``), and ``predict`` takes the model with that PCA only."""
+
+    @pytest.mark.parametrize("model", ["model.json", "mlp.json"], ids=["dagsvm", "mlp"])
+    def test_model_records_its_pca(self, artifacts, model):
+        digest = hashlib.sha256((artifacts / "pca.json").read_text().encode()).hexdigest()
+        assert json.loads((artifacts / model).read_text())["pca_sha256"] == digest
+
+    @pytest.mark.parametrize("model", ["model.json", "mlp.json"], ids=["dagsvm", "mlp"])
+    def test_other_pca_of_the_same_width_names_both(self, artifacts, tmp_path, capsys, model):
+        body = json.loads((artifacts / "pca.json").read_text())
+        body["retention"] = 0.5
+        pca = tmp_path / "pca.json"
+        pca.write_text(json.dumps(body, sort_keys=True) + "\n")
+        assert run("predict", "--in", artifacts / "features.csv", "--pca", pca,
+                   "--model", artifacts / model, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {artifacts / model} was trained with another PCA than {pca}\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestHugeFiniteNumbers:
+    """A finite number that overflows once it is used: the stage gives the
+    exact limit without a warning, or exits 2 and names the file."""
+
+    def test_extract_refuses_non_finite_features(self, seven, tmp_path, capsys):
+        lines = (seven / "data.csv").read_text().splitlines()
+        lines[4] = _replace_field(1, "1e308")(lines[4])
+        data, out = tmp_path / "data.csv", tmp_path / "features.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert run("extract", "--in", data, "--windows", seven / "windows.csv", "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["k1", "k2"])
+    def test_tiny_loss_coefficient_scores_the_limit(self, artifacts, tmp_path, k):
+        """exp(-d/k) of a distance d > 0 past the band is 0 once d/k overflows."""
+        body = json.loads((artifacts / "profile.json").read_text())
+        for spec in body["indicators"]:
+            spec[k] = 1e-320
+        profile, out = tmp_path / "profile.json", tmp_path / "scores.csv"
+        profile.write_text(json.dumps(body))
+        assert run("evaluate", "--in", artifacts / "data.csv", "--windows",
+                   artifacts / "windows.csv", "--profile", profile, "--out", out) == 0
+        assert out.exists()
+
+    def test_huge_mlp_weight_saturates(self, artifacts, tmp_path):
+        """tanh of an input that overflows to ±inf is its limit, ±1."""
+        body = json.loads((artifacts / "mlp.json").read_text())
+        body["weights"][0][0][0] = 1e308
+        model, out = tmp_path / "mlp.json", tmp_path / "predictions.csv"
+        model.write_text(json.dumps(body))
+        assert run("predict", "--in", artifacts / "features.csv", "--pca",
+                   artifacts / "pca.json", "--model", model, "--out", out) == 0
+        assert out.exists()
 
 
 @pytest.fixture(scope="module")
