@@ -269,6 +269,8 @@ def _cmd_extract(args):
 
 def _cmd_fit_pca(args):
     _, X = _read_features(args.infile)
+    if len(X) < 2:
+        raise StrokeSenseError(f"{args.infile}: need at least 2 rows to fit")
     model = fit_pca(X, retention=args.retention)
     _dump_json(args.out, model.to_dict())
     _summary(command="fit-pca", k=model.k, retention=args.retention, out=args.out)
@@ -287,12 +289,12 @@ def _cmd_train(args):
     y, X = _read_features(args.infile)
     keep = y >= 0
     if not keep.any():
-        raise StrokeSenseError("no labeled rows to train on")
+        raise StrokeSenseError(f"{args.infile}: no labeled rows to train on")
     X, y = X[keep], y[keep]
     _, digest, Z = _project(args, X)
     train_idx, test_idx = _split(len(Z), args.test_fraction, args.seed)
     if len(train_idx) == 0:
-        raise StrokeSenseError("empty training split")
+        raise StrokeSenseError(f"{args.infile}: empty training split")
 
     if args.model == "dagsvm":
         model = train_dagsvm(Z[train_idx], y[train_idx], c=args.svm_c, gamma=args.gamma)

@@ -1,4 +1,7 @@
-"""The library's error types: bad input of any kind, and a solver cap."""
+"""The library's error types, and :func:`finite_array`, the one load rule
+for every number of a model file."""
+
+import numpy as np
 
 
 class StrokeSenseError(ValueError):
@@ -7,3 +10,17 @@ class StrokeSenseError(ValueError):
 
 class NoConvergence(StrokeSenseError):
     """Optimizer hit its iteration cap without satisfying KKT conditions."""
+
+
+def finite_array(value, name, shape=None):
+    """``value``, a field of a model file, as a float array of ``shape``
+    (``None`` matches any length, ``()`` is a scalar; no ``shape`` takes
+    any) whose every entry is finite, else StrokeSenseError."""
+    a = np.asarray(value, dtype=float)
+    if shape is not None and (
+        a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape))
+    ):
+        raise StrokeSenseError(f"{name} needs shape {str(shape).replace('None', 'n')}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise StrokeSenseError(f"{name} must be finite")
+    return a

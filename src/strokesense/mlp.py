@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import StrokeSenseError
+from .errors import StrokeSenseError, finite_array
 from .labels import N_CLASSES
 
 DEFAULT_HIDDEN = (120, 120)
@@ -54,8 +54,9 @@ class MlpModel:
         activation = d.get("activation", "tanh")
         if activation != "tanh":
             raise StrokeSenseError(f"unsupported activation {activation!r}; only tanh exists")
-        weights = [np.array(w, dtype=float) for w in d["weights"]]
-        biases = [np.array(b, dtype=float) for b in d["biases"]]
+        name = "layer {}: weights and biases"
+        weights = [finite_array(w, name.format(i)) for i, w in enumerate(d["weights"])]
+        biases = [finite_array(b, name.format(i)) for i, b in enumerate(d["biases"])]
         if not weights or len(biases) != len(weights):
             raise StrokeSenseError(
                 f"need one bias per layer, got {len(weights)} layers, {len(biases)} biases"
@@ -66,8 +67,6 @@ class MlpModel:
                 raise StrokeSenseError(
                     f"layer {layer}: weights {w.shape} and biases {b.shape} do not chain"
                 )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise StrokeSenseError(f"layer {layer}: weights and biases must be finite")
         if biases[-1].shape != (N_CLASSES,):
             raise StrokeSenseError(f"the last layer needs {N_CLASSES} outputs, got {biases[-1].shape}")
         return cls(weights=weights, biases=biases)

@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import StrokeSenseError
+from .errors import StrokeSenseError, finite_array
 
 DEFAULT_RETENTION = 0.95
 
@@ -26,10 +26,6 @@ class PcaModel:
     eigenvalues: np.ndarray  # all p eigenvalues, descending
     k: int
     retention: float
-
-    @property
-    def n_features(self) -> int:
-        return self.mean.shape[0]
 
     def to_dict(self) -> dict:
         return {
@@ -48,27 +44,16 @@ class PcaModel:
         holds a non-finite number, or whose scale is not positive."""
         if d.get("scale") is None:
             raise StrokeSenseError("PCA model has no scale vector")
+        mean = finite_array(d["mean"], "mean", (None,))
+        p, k = len(mean), int(finite_array(d["k"], "k", ()))
         model = cls(
-            mean=np.array(d["mean"], dtype=float),
-            scale=np.array(d["scale"], dtype=float),
-            components=np.array(d["components"], dtype=float),
-            eigenvalues=np.array(d["eigenvalues"], dtype=float),
-            k=int(d["k"]),
-            retention=float(d["retention"]),
+            mean=mean,
+            scale=finite_array(d["scale"], "scale", (p,)),
+            components=finite_array(d["components"], "components", (k, p)),
+            eigenvalues=finite_array(d["eigenvalues"], "eigenvalues", (p,)),
+            k=k,
+            retention=float(finite_array(d["retention"], "retention", ())),
         )
-        vectors = (model.mean, model.scale, model.eigenvalues)
-        if model.mean.ndim != 1 or any(v.shape != model.mean.shape for v in vectors):
-            raise StrokeSenseError(
-                f"mean, scale and eigenvalues need one (p,) shape, got {[v.shape for v in vectors]}"
-            )
-        if model.components.shape != (model.k, model.n_features):
-            raise StrokeSenseError(
-                f"components need shape ({model.k}, {model.n_features}), "
-                f"got {model.components.shape}"
-            )
-        for name in ("mean", "scale", "components", "eigenvalues"):
-            if not np.isfinite(getattr(model, name)).all():
-                raise StrokeSenseError(f"{name} must be finite")
         if (model.scale <= 0).any():
             raise StrokeSenseError("scale must be positive")
         return model
@@ -125,9 +110,9 @@ def transform(model: PcaModel, f: np.ndarray) -> np.ndarray:
     """Project a feature vector (or matrix) onto the retained components;
     a projection past the float range raises :class:`StrokeSenseError`."""
     f = np.asarray(f, dtype=float)
-    if f.shape[-1] != model.n_features:
+    if f.shape[-1] != len(model.mean):
         raise StrokeSenseError(
-            f"expected {model.n_features} features, got {f.shape[-1]}"
+            f"expected {len(model.mean)} features, got {f.shape[-1]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         z = ((f - model.mean) / model.scale) @ model.components.T

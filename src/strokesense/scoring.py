@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import StrokeSenseError
+from .errors import StrokeSenseError, finite_array
 from .labels import StrokeLabel
 from .windows import MotionWindow, block_rows
 
@@ -162,12 +162,7 @@ class StandardProfile:
 
     def __post_init__(self):
         for name in _STATS:
-            stat = np.asarray(getattr(self, name), dtype=float)
-            if stat.shape != (N_INDICATORS,):
-                raise StrokeSenseError(f"{name} needs shape ({N_INDICATORS},), got {stat.shape}")
-            if not np.isfinite(stat).all():
-                raise StrokeSenseError(f"{name} must be finite")
-            setattr(self, name, stat)
+            setattr(self, name, finite_array(getattr(self, name), name, (N_INDICATORS,)))
         if not ((self.k1 > 0) & (self.k2 > 0)).all():
             raise StrokeSenseError("loss coefficients must be positive")
         if (self.lo > self.hi).any():

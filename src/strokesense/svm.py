@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NoConvergence, StrokeSenseError
+from .errors import NoConvergence, StrokeSenseError, finite_array
 from .labels import N_CLASSES, StrokeLabel
 
 DEFAULT_TOL = 1e-3
@@ -137,41 +137,29 @@ class KernelSvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSvmModel":
-        """Rejects with StrokeSenseError support vectors that are not a 2-D
-        table (``[]`` stands for none), a model with one coefficient too many
-        or too few for its support vectors, or with a non-finite support
-        vector, coefficient, ``b`` or ``gamma``, a support vector whose
-        squared norm, which every kernel value needs, overflows, or a
-        ``gamma`` that is not positive, as training does."""
-        model = cls(
-            support_vectors=np.array(d["support_vectors"], dtype=float),
-            coef=np.array(d["coef"], dtype=float),
-            b=float(d["b"]),
-            gamma=float(d["gamma"]),
-            c=float(d["c"]),
-            class_pair=(int(d["class_pair"][0]), int(d["class_pair"][1])),
-        )
-        if model.support_vectors.ndim != 2 and model.support_vectors.size:
-            raise StrokeSenseError(
-                f"pair {model.class_pair}: support_vectors must be a 2-D table, "
-                f"got shape {model.support_vectors.shape}"
-            )
-        if model.coef.shape != model.support_vectors.shape[:1]:
-            raise StrokeSenseError(
-                f"pair {model.class_pair}: {len(model.support_vectors)} support vectors "
-                f"need as many coef values, got shape {model.coef.shape}"
-            )
-        for name in ("support_vectors", "coef", "b", "gamma"):
-            if not np.isfinite(getattr(model, name)).all():
-                raise StrokeSenseError(f"pair {model.class_pair}: {name} must be finite")
+        """Reads every number by :func:`finite_array`, and rejects with
+        StrokeSenseError support vectors that are not a 2-D table (``[]``
+        stands for none), one coefficient too many or too few for them, a
+        support vector whose squared norm, which every kernel value needs,
+        overflows, or a ``gamma`` that is not positive, as training does."""
+        pair = tuple(int(v) for v in finite_array(d["class_pair"], "class_pair", (2,)))
+        at = f"pair {pair}: "
+        sv = finite_array(d["support_vectors"], f"{at}support_vectors")
+        if sv.ndim != 2 and sv.size:
+            raise StrokeSenseError(f"{at}support_vectors must be a 2-D table, got shape {sv.shape}")
         with np.errstate(over="ignore"):
-            norms = np.sum(model.support_vectors * model.support_vectors, axis=-1)
-        if not np.isfinite(norms).all():
-            raise StrokeSenseError(
-                f"pair {model.class_pair}: support vector squared norms must be finite"
-            )
+            if not np.isfinite(np.sum(sv * sv, axis=-1)).all():
+                raise StrokeSenseError(f"{at}support vector squared norms must be finite")
+        model = cls(
+            support_vectors=sv,
+            coef=finite_array(d["coef"], f"{at}coef", sv.shape[:1]),
+            b=float(finite_array(d["b"], f"{at}b", ())),
+            gamma=float(finite_array(d["gamma"], f"{at}gamma", ())),
+            c=float(finite_array(d["c"], f"{at}c", ())),
+            class_pair=pair,
+        )
         if model.gamma <= 0:
-            raise StrokeSenseError(f"pair {model.class_pair}: gamma must be positive, got {model.gamma}")
+            raise StrokeSenseError(f"{at}gamma must be positive, got {model.gamma}")
         return model
 
 

@@ -356,8 +356,22 @@ class TestTrainPredictReport:
         features.write_text("\n".join([header, *rows]) + "\n")
         assert run("train", "--in", features, "--pca", pipeline / "pca.json",
                    "--out", model, *flags) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {features}: {message}\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("rows, flags, message", [
+        (1, [], "{features}: need at least 2 rows to fit"),
+        # the flag is at fault, not the file
+        (3, ["--retention", 0], "retention must lie in (0, 1], got 0.0"),
+    ], ids=["one-row", "bad-retention"])
+    def test_fit_pca_names_features_only_for_its_fault(self, pipeline, tmp_path, capsys, rows,
+                                                        flags, message):
+        lines = (pipeline / "features.csv").read_text().splitlines()
+        features, pca = tmp_path / "features.csv", tmp_path / "pca.json"
+        features.write_text("\n".join(lines[:1 + rows]) + "\n")
+        assert run("fit-pca", "--in", features, "--out", pca, *flags) == 2
+        assert capsys.readouterr().err == f"error: {message.format(features=features)}\n"
+        assert not pca.exists()
 
     def test_report_without_ground_truth_rejected(self, tmp_path, capsys):
         preds, report = tmp_path / "preds.csv", tmp_path / "report.json"
@@ -697,6 +711,19 @@ _SHAPE_CASES = {
                            "projection is not finite", _PREDICT_PCA),
     "pca-huge-component-train": ("pca.json", lambda d: d["components"][0].__setitem__(0, 1e308),
                                  "projection is not finite", _JSON_CASES["pca"][1]),
+    "pca-nan-retention": ("pca.json", lambda d: d.update(retention=float("nan")),
+                          "retention must be finite", _JSON_CASES["pca"][1]),
+    "dagsvm-nan-c": ("model.json", lambda d: [m.update(c=float("nan")) for m in d["models"]],
+                     "pair (0, 1): c must be finite", _PREDICT),
+    # an infinite integer field once escaped main as an OverflowError
+    "pca-infinite-k": ("pca.json", lambda d: d.update(k=float("inf")), "k must be finite",
+                       _JSON_CASES["pca"][1]),
+    "dagsvm-infinite-class-pair": ("model.json",
+                                   lambda d: d["models"][0].update(class_pair=[0, float("inf")]),
+                                   "class_pair must be finite", _PREDICT),
+    "profile-infinite-k2": ("profile.json",
+                            lambda d: d["indicators"][3].update(k2=float("inf")),
+                            "k2 must be finite", _JSON_CASES["profile"][1]),
 }
 
 #: Each input kind a subcommand reads, by a command that reads it as ``BAD``.

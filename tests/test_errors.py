@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import strokesense
-from strokesense.errors import NoConvergence, StrokeSenseError
+from strokesense.cli import _read
+from strokesense.errors import NoConvergence, StrokeSenseError, finite_array
 from strokesense.labels import StrokeLabel
 from strokesense.metrics import confusion, f_measure
 from strokesense.mlp import mlp_init, mlp_train
@@ -69,3 +70,46 @@ def test_library_raises_only_its_own_types(path):
         allowed.add("SystemExit")
     stray = [(line, name) for line, name in _raised_names(path) if name not in allowed]
     assert stray == []
+
+
+@pytest.mark.parametrize(
+    "value, shape, expected",
+    [
+        ([1, 2, 3], (None,), (3,)),  # None matches any length
+        ([[1, 2, 3], [4, 5, 6]], (2, None), (2, 3)),
+        ([[1.0]], None, (1, 1)),  # no shape takes any
+        ("2.5", (), ()),  # a scalar
+        ([2.5], (), "x needs shape (), got (1,)"),
+        (2.5, (None,), "x needs shape (n,), got ()"),
+        ([1, 2], (None, None), "x needs shape (n, n), got (2,)"),
+        ([1, 2], (3,), "x needs shape (3,), got (2,)"),
+        ([1, float("nan")], (2,), "x must be finite"),
+        ([[float("inf")]], None, "x must be finite"),
+        (-float("inf"), (), "x must be finite"),
+    ],
+    ids=["any-length", "any-column-count", "any-shape", "scalar", "scalar-wanted",
+         "vector-wanted", "wrong-ndim", "wrong-length", "nan", "inf", "-inf"],
+)
+def test_finite_array(value, shape, expected):
+    """The one load rule for every number of a model file: a float array of
+    the given shape, every entry finite."""
+    if isinstance(expected, str):
+        with pytest.raises(StrokeSenseError, match=f"^{re.escape(expected)}$"):
+            finite_array(value, "x", shape)
+    else:
+        a = finite_array(value, "x", shape)
+        assert a.dtype == float and a.shape == expected
+        np.testing.assert_array_equal(a, np.asarray(value, dtype=float))
+
+
+def test_finite_array_leaves_ragged_input_to_numpy(tmp_path):
+    """Ragged input is no array: numpy's ValueError, which ``cli._read``
+    names with the file, as it does for any field of the wrong type."""
+    ragged = [[1.0, 2.0], [3.0]]
+    with pytest.raises(ValueError) as info:
+        finite_array(ragged, "x", (None, None))
+    assert not isinstance(info.value, StrokeSenseError)
+    path = tmp_path / "model.json"
+    path.write_text("{}")
+    with pytest.raises(StrokeSenseError, match=f"^{re.escape(str(path))}: "):
+        _read(path, lambda _: finite_array(ragged, "x"))
