@@ -297,8 +297,11 @@ def _cmd_train(args):
         raise StrokeSenseError(f"{args.infile}: empty training split")
 
     if args.model == "dagsvm":
-        model = train_dagsvm(Z[train_idx], y[train_idx], c=args.svm_c, gamma=args.gamma)
-        predicted = dag_predict_batch(model, Z[test_idx])
+        try:
+            model = train_dagsvm(Z[train_idx], y[train_idx], c=args.svm_c, gamma=args.gamma)
+            predicted = dag_predict_batch(model, Z[test_idx])
+        except StrokeSenseError as exc:
+            raise StrokeSenseError(f"{args.infile}: {exc}") from None
         payload = model.to_dict()
         run = {}
     else:
@@ -333,7 +336,10 @@ def _cmd_predict(args):
     if trained_with != digest:
         raise StrokeSenseError(f"{args.model} was trained with another PCA than {args.pca}")
     predict = dag_predict_batch if isinstance(model, DagSvmModel) else mlp_predict_batch
-    predicted = predict(model, Z)
+    try:
+        predicted = predict(model, Z)
+    except StrokeSenseError as exc:
+        raise StrokeSenseError(f"{args.infile}: {exc}") from None
     rows = ([str(true), str(int(pred))] for true, pred in zip(y.tolist(), predicted))
     _write_csv(args.out, ["true", "predicted"], rows)
     _summary(command="predict", samples=len(predicted), out=args.out)

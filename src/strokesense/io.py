@@ -146,9 +146,9 @@ class _RowScan:
             if lineno == 1:
                 raw = raw.removeprefix("\ufeff")
             line = raw.strip()
-            if not line or line.replace(" ", "") == HEADER:
+            if not line or (line[0] == "t" and line.replace(" ", "") == HEADER):
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 body = line.lstrip("#").strip()
                 if body.startswith("period="):
                     try:
@@ -191,17 +191,30 @@ def serialize_series(series: SensorSeries) -> str:
     """Emit the canonical CSV text; round-trips bit-exactly through
     :func:`parse_series` (shortest-repr decimal output).
 
-    Rows are formatted ``_BLOCK`` at a time into one string each, and the
-    result is those strings joined: beyond it, working memory is the
-    block strings (about the size of the text) and one block's rows.
+    Rows are formatted ``_BLOCK`` at a time into one string each by
+    :func:`_format_block`, and the result is those strings joined: beyond
+    it, working memory is the block strings (about the size of the text)
+    and one block's fields.
     """
     t, channels = series.t, series.channels
     parts = [f"# period={series.sample_period!r}\n{HEADER}\n"]
     for start in range(0, len(t), _BLOCK):
         stop = start + _BLOCK
-        rows = np.column_stack([t[start:stop], channels[start:stop]]).tolist()
-        parts.append("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
+        parts.append(_format_block(np.vstack([t[start:stop], channels[start:stop].T])))
     return "".join(parts)
+
+
+def _format_block(cols: np.ndarray) -> str:
+    """The CSV rows of a block of columns: ``repr`` once per run of one
+    float64 bit pattern down a column (bits, since ``0.0 == -0.0`` but their
+    reprs differ), spread over the run; a function so that the block's
+    fields are freed before the next block's are made."""
+    bits = cols.view(np.int64)
+    new = np.ones(cols.shape, dtype=bool)
+    new[:, 1:] = bits[:, 1:] != bits[:, :-1]
+    reprs = np.array(list(map(repr, cols[new].tolist())), dtype=object)
+    fields = reprs[new.cumsum().reshape(new.shape) - 1]
+    return "\n".join(map(",".join, fields.T.tolist())) + "\n"
 
 
 def grid_slots(series: SensorSeries) -> np.ndarray:

@@ -28,13 +28,20 @@ PAIRS = list(combinations(range(N_CLASSES), 2))
 _WIDEST_FIRST = sorted(PAIRS, key=lambda pair: pair[0] - pair[1])
 
 
+def _squared_norms(X: np.ndarray, what: str = "row") -> np.ndarray:
+    """Each row's squared norm; StrokeSenseError names ``what`` when one
+    overflows, since every kernel value of that row would then be NaN."""
+    with np.errstate(over="ignore"):
+        norms = np.sum(X * X, axis=-1)
+    if not np.isfinite(norms).all():
+        raise StrokeSenseError(f"{what} squared norms must be finite")
+    return norms
+
+
 def gaussian_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """K[i, j] = exp(-gamma * ||A_i - B_j||^2)."""
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
+    """K[i, j] = exp(-gamma * ||A_i - B_j||^2); a row of A or B whose
+    squared norm overflows raises StrokeSenseError."""
+    sq = _squared_norms(A)[:, None] + _squared_norms(B)[None, :] - 2.0 * A @ B.T
     np.maximum(sq, 0.0, out=sq)
     # A huge gamma overflows gamma * sq to inf; exp(-inf) = 0 is the exact limit.
     with np.errstate(over="ignore"):
@@ -147,9 +154,7 @@ class KernelSvmModel:
         sv = finite_array(d["support_vectors"], f"{at}support_vectors")
         if sv.ndim != 2 and sv.size:
             raise StrokeSenseError(f"{at}support_vectors must be a 2-D table, got shape {sv.shape}")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.sum(sv * sv, axis=-1)).all():
-                raise StrokeSenseError(f"{at}support vector squared norms must be finite")
+        _squared_norms(sv, f"{at}support vector")
         model = cls(
             support_vectors=sv,
             coef=finite_array(d["coef"], f"{at}coef", sv.shape[:1]),

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written as straight-line loops over the
 defining formulas, sharing no code with the library paths it checks.  The
-gap fill and the CSV parser keep their first, one-sample-at-a-time
-implementations, and the window statistics (features, activation markers,
+gap fill and the CSV parser and writer keep their first,
+one-sample-at-a-time implementations, and the window statistics (features, activation markers,
 scoring indicators) their first one-window, one-channel-at-a-time numpy
 implementations, so the faster library paths can be held to them bit for
 bit.  The skill scorer keeps its first scalar, one-indicator-at-a-time
@@ -233,6 +233,15 @@ def reference_parse_series(text):
     if t.size > 1 and not (np.diff(t) > 0).all():
         raise StrokeSenseError("timestamps must be strictly increasing")
     return t, np.array(rows), period
+
+
+def reference_serialize_series(series):
+    """The CSV writer as first written: the period line, the header, then
+    one ``repr`` per field, row by row."""
+    lines = [f"# period={series.sample_period!r}", "t,ax,ay,az,gx,gy,gz,rx,ry,rz"]
+    for t, row in zip(series.t.tolist(), series.channels.tolist()):
+        lines.append(",".join(map(repr, [t, *row])))
+    return "\n".join(lines) + "\n"
 
 
 # --- window statistics as first written, one window at a time ---------------

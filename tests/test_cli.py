@@ -893,6 +893,24 @@ class TestHugeFiniteNumbers:
                    artifacts / "windows.csv", "--profile", profile, "--out", out) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("argv", [["predict", "--model", "dagsvm.json"],
+                                      ["train", "--model", "dagsvm", "--gamma", "0.01"]],
+                             ids=["predict", "train"])
+    def test_huge_projection_names_features(self, faulty, tmp_path, capsys, argv):
+        """A finite 1e308 feature projects to a finite row whose squared
+        norm overflows, so each of its kernel values would be NaN: the
+        DAGSVM refuses the row, and the error names ``--in``."""
+        d, _ = faulty
+        lines = (d / "features.csv").read_text().splitlines()
+        lines[2] = _replace_field(1, "1e308")(lines[2])
+        bad, out = tmp_path / "features.csv", tmp_path / "out"
+        bad.write_text("\n".join(lines) + "\n")
+        command, *rest = argv
+        assert run(command, "--in", bad, "--pca", d / "pca.json", "--out", out,
+                   *(d / a if a.endswith(".json") else a for a in rest)) == 2
+        assert capsys.readouterr().err == f"error: {bad}: row squared norms must be finite\n"
+        assert not out.exists()
+
     def test_huge_mlp_weight_saturates(self, artifacts, tmp_path):
         """tanh of an input that overflows to ±inf is its limit, ±1."""
         body = json.loads((artifacts / "mlp.json").read_text())

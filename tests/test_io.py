@@ -264,6 +264,14 @@ class TestMemoryBound:
         assert result == text
         assert transient <= 2.25 * len(text)
 
+    def test_serialize_clean(self, faulty):
+        """The cleaned series is mostly runs of held values; their strings
+        are spread one block at a time, not a column at a time."""
+        series = preprocess_series(faulty[0])
+        text, transient = self._transient(serialize_series, series)
+        assert parse_series(text) == series
+        assert transient <= 2.25 * len(text)
+
 
 class TestValidate:
     def _series(self, ts):

@@ -1,17 +1,23 @@
 """Bit-equality of the ingest layer with the reference implementations in
-oracles.py: the CSV parser, the Newton gap fill, the adaptive smoother and
-the full cleaning chain.  Every comparison is exact (no tolerance)."""
+oracles.py: the CSV parser and writer, the Newton gap fill, the adaptive
+smoother and the full cleaning chain.  Every comparison is exact (no tolerance)."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import strokesense.io as sio
 from oracles import (
     reference_adaptive_filter,
     reference_newton_fill,
     reference_parse_series,
+    reference_serialize_series,
 )
 from strokesense.errors import StrokeSenseError
-from strokesense.io import HEADER, parse_series, serialize_series
+from strokesense.io import HEADER, SensorSeries, parse_series, serialize_series
 from strokesense.preprocessing import (
     DEFAULT_DELTA_A_FRACTION,
     DEFAULT_K0,
@@ -250,3 +256,60 @@ class TestParseOracle:
     )
     def test_line_layouts(self, text):
         _assert_parse_matches(text)
+
+
+#: Values whose reprs differ while they compare equal (0.0, -0.0) or sit
+#: next to each other, and the edges of repr's two notations: the smallest
+#: subnormal, 1e16 and the float below it, 1e-5 and 0.0001.
+_POOL = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.5, -2.25]
+
+
+def _assert_serialize_matches(series):
+    assert serialize_series(series) == reference_serialize_series(series)
+
+
+class TestSerializeOracle:
+    @pytest.mark.parametrize("stage", ["raw", "clean"])
+    def test_faulty_corpus(self, stage):
+        """The raw series has no runs; in the cleaned one the smoother's
+        held outputs make most fields repeat the field above."""
+        series = _faulty(1)
+        if stage == "clean":
+            series = preprocess_series(series)
+        assert len(series) > sio._BLOCK
+        _assert_serialize_matches(series)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.lists(st.sampled_from(_POOL), min_size=9, max_size=9)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([0.01, 1e-5, 1e16]),
+        st.sampled_from([3, 7, sio._BLOCK]),
+    )
+    def test_long_runs_of_pool_values(self, runs, period, block):
+        """Rows repeat a drawn row ``count`` times, so runs are long, and
+        in blocks of 3 or 7 rows most runs cross a block boundary."""
+        channels = np.array([row for count, row in runs for _ in range(count)])
+        series = SensorSeries(np.arange(len(channels)) * period, channels, sample_period=period)
+        with mock.patch.object(sio, "_BLOCK", block):
+            _assert_serialize_matches(series)
+
+    @pytest.mark.parametrize("block", [3, sio._BLOCK])
+    def test_runs_across_blocks(self, monkeypatch, block):
+        """Alternating signed zeros, and runs of 1 to 6 rows that start and
+        end inside and across blocks of 3."""
+        monkeypatch.setattr(sio, "_BLOCK", block)
+        n = 40
+        channels = np.array([_POOL[(i // (1 + j % 6)) % len(_POOL)] for i in range(n)
+                             for j in range(9)]).reshape(n, 9)
+        channels[:, 0] = np.where(np.arange(n) % 2, -0.0, 0.0)
+        series = SensorSeries(np.arange(n) * 0.01, channels)
+        text = serialize_series(series)
+        assert text == reference_serialize_series(series)
+        assert [line.split(",")[1] for line in text.splitlines()[2:6]] == ["0.0", "-0.0"] * 2
+
+    def test_one_row(self):
+        _assert_serialize_matches(SensorSeries([0.5], [[-0.0, 0.0, 5e-324, *_POOL[3:]]], 0.02))

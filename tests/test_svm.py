@@ -40,6 +40,16 @@ class TestKernel:
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_overflowing_squared_norm_rejected_without_warning(self, side):
+        """Each kernel value of a row whose squared norm overflows would be NaN."""
+        rows = {"A": np.ones((2, 3)), "B": np.ones((4, 3))}
+        rows[side][1, 2] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StrokeSenseError, match="^row squared norms must be finite$"):
+                gaussian_kernel_matrix(rows["A"], rows["B"], 0.5)
+
     def test_huge_gamma_takes_the_exact_limit_without_warning(self):
         # gamma * sq overflows to +inf for every sq > 0; exp(-inf) = 0 is
         # the exact limit, and coincident rows (sq == 0) keep exp(0) = 1.
