@@ -9,7 +9,6 @@ success, 1 usage error, 2 data error.
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -144,9 +143,10 @@ def _read_spans(path, series, data_path, shortest):
 
 def _feature_row(fields):
     label, *values = _fields(fields, 1 + N_FEATURES)
-    row = [float(v) for v in values]
-    if not all(map(math.isfinite, row)):
-        name, v = next((n, v) for n, v in zip(FEATURE_NAMES, row) if not math.isfinite(v))
+    row = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(row))
+    if bad.size:
+        name, v = FEATURE_NAMES[bad[0]], row[bad[0]]
         raise StrokeSenseError(f"feature {name} must be finite, got {v}")
     stroke = parse_label(label)
     return -1 if stroke is None else int(stroke), row

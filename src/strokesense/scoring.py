@@ -114,10 +114,10 @@ def _direction_angles(vecs: np.ndarray) -> np.ndarray:
     """Per-axis direction angles of each row of an (m, 3) array, degrees;
     a vanishing vector maps to the neutral 90 degrees.
 
-    Each row's norm is ``np.linalg.norm`` of that 3-vector alone, a dot
-    product; a norm along an axis rounds differently.
+    Each row's norm is the square root of its own dot product through
+    ``np.vecdot``.
     """
-    norms = np.array([np.linalg.norm(v) for v in vecs])
+    norms = np.sqrt(np.vecdot(vecs, vecs))
     small = norms < 1e-12
     cosines = np.clip(vecs / np.where(small, 1.0, norms)[:, None], -1.0, 1.0)
     return np.where(small[:, None], 90.0, np.degrees(np.arccos(cosines)))
@@ -239,10 +239,10 @@ def indicator_scores(values: np.ndarray, profile: StandardProfile) -> np.ndarray
 
 def total_score(q: Sequence[float], k: Sequence[float]):
     """Weighted sum of five level scores in [0, 1]: a float for a (5,)
-    vector; for an (m, 5) array, the (m,) row totals, each its own dot
-    product, as one (m, 5) @ (5,) product may round differently.  Weights
-    must be non-negative and sum to 1 within 0.01 (loose enough to accept
-    the rounded reference weights, which sum to 1.001)."""
+    vector; for an (m, 5) array, the (m,) row totals, each row its own dot
+    product through ``np.vecdot``.  Weights must be non-negative and sum
+    to 1 within 0.01 (loose enough to accept the rounded reference
+    weights, which sum to 1.001)."""
     q = np.asarray(q, dtype=float)
     k = np.asarray(k, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != N_LEVELS or k.shape != (N_LEVELS,):
@@ -251,9 +251,8 @@ def total_score(q: Sequence[float], k: Sequence[float]):
         raise StrokeSenseError(f"weights must be non-negative and sum to 1, got {k}")
     if not ((q >= 0) & (q <= 1)).all():
         raise StrokeSenseError("level scores must lie in [0, 1]")
-    if q.ndim == 1:
-        return float(q @ k)
-    return np.array([float(row @ k) for row in q])
+    totals = np.vecdot(q, k)
+    return float(totals) if q.ndim == 1 else totals
 
 
 @dataclass

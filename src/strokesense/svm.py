@@ -40,8 +40,13 @@ def _squared_norms(X: np.ndarray, what: str = "row") -> np.ndarray:
 
 def gaussian_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||A_i - B_j||^2); a row of A or B whose
-    squared norm overflows raises StrokeSenseError."""
-    sq = _squared_norms(A)[:, None] + _squared_norms(B)[None, :] - 2.0 * A @ B.T
+    squared norm overflows, or a pair whose squared distance does, raises
+    StrokeSenseError."""
+    a2, b2 = _squared_norms(A), _squared_norms(B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = a2[:, None] + b2[None, :] - 2.0 * A @ B.T
+    if not np.isfinite(sq).all():
+        raise StrokeSenseError("squared distances must be finite")
     np.maximum(sq, 0.0, out=sq)
     # A huge gamma overflows gamma * sq to inf; exp(-inf) = 0 is the exact limit.
     with np.errstate(over="ignore"):

@@ -628,6 +628,8 @@ _CSV_CASES = {
                       "--model", "model.json", "--out", "OUT"]),
     "features-inf": ("features.csv", 4, _replace_field(7, "-inf"), "must be finite, got -inf",
                      ["train", "--in", "BAD", "--pca", "pca.json", "--out", "OUT"]),
+    "features-overflow": ("features.csv", 3, _replace_field(2, "1e999"), "must be finite, got inf",
+                          ["fit-pca", "--in", "BAD", "--out", "OUT"]),
     "predictions-bad-int": ("predictions.csv", 3, lambda _: "3,x", "'x'",
                             ["report", "--predictions", "BAD", "--out", "OUT"]),
     "predictions-short-row": ("predictions.csv", 2, lambda _: "3", "expected 2 fields, got 1",
@@ -1010,6 +1012,18 @@ def test_fit_pca_refuses_to_write_a_non_finite_model(seven, tmp_path, capsys):
         assert run("fit-pca", "--in", features, "--out", out) == 2
     assert capsys.readouterr().err.startswith(f"error: {out}: ")
     assert not out.exists()
+
+
+def test_feature_fields_read_as_float_reads_them(tmp_path):
+    """A features.csv field reads as ``float`` reads it: underscores,
+    padding, signs, underflow to zero and non-ASCII digits alike."""
+    fields = [" 1_0", "+1.5", "-0.0", "1e-400", "１２"]
+    row = ",".join(["FOREHAND_ATTACK", *fields, *["0"] * (len(FEATURE_NAMES) - len(fields))])
+    path = tmp_path / "features.csv"
+    path.write_text(",".join(["label", *FEATURE_NAMES]) + "\n" + row + "\n")
+    codes, X = _read_features(path)
+    assert codes.tolist() == [int(StrokeLabel.FOREHAND_ATTACK)]
+    assert list(map(repr, X[0, : len(fields)].tolist())) == [repr(float(f)) for f in fields]
 
 
 #: The ``artifacts`` scoring chain, for a fresh interpreter: ``{d}`` is its

@@ -12,6 +12,7 @@ from strokesense.scoring import (
     REFERENCE_AHP_MATRIX,
     REFERENCE_LEVEL_WEIGHTS,
     StandardProfile,
+    _direction_angles,
     _velocity,
     ahp_weights,
     build_profile,
@@ -196,6 +197,32 @@ class TestTotalScore:
                 total_score(q, REFERENCE_LEVEL_WEIGHTS)
 
 
+def test_each_row_is_its_own_dot_product():
+    """``_direction_angles`` and ``total_score`` keep, bit for bit, the
+    per-row results of ``np.linalg.norm`` of each 3-vector and of each
+    (5,) row @ k, over scales from 1e-150 to 1e150."""
+    rng = np.random.default_rng(31)
+    vecs = rng.normal(size=(3000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(3000, 1))
+    vecs[:4] = 0.0
+    vecs[4:8] = rng.normal(size=(4, 3)) * 1e-14  # norms below 1e-12
+    norms = np.array([np.linalg.norm(v) for v in vecs])
+    small = norms < 1e-12
+    assert small[:8].all()
+    cosines = np.clip(vecs / np.where(small, 1.0, norms)[:, None], -1.0, 1.0)
+    want = np.where(small[:, None], 90.0, np.degrees(np.arccos(cosines)))
+    assert _direction_angles(vecs).tobytes() == want.tobytes()
+
+    k = ahp_weights(REFERENCE_AHP_MATRIX)
+    for m in (0, 1, 7, 2000):
+        q = rng.uniform(size=(m, 5))
+        totals = total_score(q, k)
+        assert totals.shape == (m,)
+        assert totals.tobytes() == np.array([float(row @ k) for row in q]).tobytes()
+    q = rng.uniform(size=5)
+    total = total_score(q, k)
+    assert type(total) is float and total == float(q @ k)
+
+
 def _class_windows(seed, label, noise, n=12):
     cfg = GenConfig(seed=seed, strokes_per_class=n, noise_sigma=noise)
     series, truth = generate(cfg)
@@ -286,6 +313,7 @@ def _faulty(seed):
     return generate(cfg)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning:oracles")
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_scores_match_reference(seed):
     """Every grid window of a faulty corpus against all six profiles, and

@@ -50,6 +50,17 @@ class TestKernel:
             with pytest.raises(StrokeSenseError, match="^row squared norms must be finite$"):
                 gaussian_kernel_matrix(rows["A"], rows["B"], 0.5)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_squared_distance_rejected_without_warning(self, sign):
+        """Finite squared norms of 1e308 whose sum a2 + b2 overflows: the
+        distance to the mirrored row is inf, and to the row itself NaN
+        where the exact value is 0."""
+        A = np.array([[1e154, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StrokeSenseError, match="^squared distances must be finite$"):
+                gaussian_kernel_matrix(A, sign * A, 1.0)
+
     def test_huge_gamma_takes_the_exact_limit_without_warning(self):
         # gamma * sq overflows to +inf for every sq > 0; exp(-inf) = 0 is
         # the exact limit, and coincident rows (sq == 0) keep exp(0) = 1.
