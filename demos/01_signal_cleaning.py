@@ -55,6 +55,6 @@ resid_before = np.sqrt(np.mean((refilled - clean) ** 2))
 resid_after = np.sqrt(np.mean((smoothed - clean) ** 2))
 print(f"rms error vs truth: {resid_before:.4f} raw -> {resid_after:.4f} smoothed")
 
-# Or do all of it in one call.
-result = preprocess_channel(noisy, t, present)
+# Or do all of it in one call, which fills on the sample slots.
+result = preprocess_channel(noisy, present)
 print(f"preprocess_channel end-to-end: {len(result)} samples, gap-free")

@@ -26,7 +26,7 @@ from .pca import DEFAULT_RETENTION, PcaModel, fit_pca, transform
 from .preprocessing import DEFAULT_K0, preprocess_series
 from .scoring import StandardProfile, build_profile, score_window, score_windows
 from .svm import DagSvmModel, dag_predict_batch, train_dagsvm
-from .synth import GenConfig, generate, truth_on_grid
+from .synth import GenConfig, generate, layout
 from .windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, cut_windows, majority_labels, slide_windows
 
 EXIT_OK = 0
@@ -212,8 +212,8 @@ def _cmd_synth(args):
         idle_fraction=args.idle_fraction,
         period=args.period,
     )
-    series, truth = generate(cfg)
-    truth = truth_on_grid(series, truth)
+    series, _ = generate(cfg)
+    truth = layout(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "data.csv").write_text(serialize_series(series))

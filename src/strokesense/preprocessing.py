@@ -4,8 +4,8 @@ Three stages, applied in order: first-difference 3-sigma outlier removal,
 cubic Newton interpolation of the resulting gaps, and threshold-adaptive
 exponential smoothing.  A channel is a float array of values.  The gap
 fill also takes the sample positions and a boolean known/missing mask of
-the same length; outlier removal returns such a mask.  No stage modifies
-its inputs.
+the same length; outlier removal returns such a mask.  The full chain
+fills on the sample slots.  No stage modifies its inputs.
 """
 
 from typing import Optional, Tuple
@@ -172,23 +172,26 @@ def adaptive_filter(
 
 def preprocess_channel(
     values,
-    positions,
     present,
     k0: float = DEFAULT_K0,
     delta_a: Optional[float] = None,
 ) -> np.ndarray:
-    """Full cleaning chain: gap fill, outlier removal, refill of the
-    removed samples, adaptive smoothing.  Returns the cleaned values.
+    """Full cleaning chain of one uniformly sampled channel: gap fill,
+    outlier removal, refill of the removed samples, adaptive smoothing.
+    Returns the cleaned values.
 
-    ``delta_a`` defaults to 5% of the channel's peak-valley span measured
-    after interpolation.
+    The fills interpolate on the sample slots ``0 .. n-1``, not on times,
+    so the result depends only on the values and the mask, never on the
+    clock origin or the period.  ``delta_a`` defaults to 5% of the
+    channel's peak-valley span measured after interpolation.
     """
     values = np.asarray(values, dtype=float)
+    slots = np.arange(len(values), dtype=float)
     if not np.all(present):
-        values = newton_fill(values, positions, present)
+        values = newton_fill(values, slots, present)
     present = remove_outliers(values)
     if not present.all():
-        values = newton_fill(values, positions, present)
+        values = newton_fill(values, slots, present)
     if delta_a is None:
         span = float(values.max() - values.min())
         delta_a = max(DEFAULT_DELTA_A_FRACTION * span, 1e-12)
@@ -204,14 +207,13 @@ def preprocess_series(
 
     Rows implied by timestamp gaps are re-created on the nominal sample
     grid and interpolated alongside outlier-induced gaps.  The result is
-    gap-free and uniformly sampled.  Rows land on their
-    :func:`~strokesense.io.grid_slots`, which raises for two rows in one
-    slot rather than let one overwrite the other.
+    gap-free and uniformly sampled, stamped ``t[0] + k * period``.  Rows
+    land on their :func:`~strokesense.io.grid_slots`, which raises for two
+    rows in one slot rather than let one overwrite the other.
     """
     p = series.sample_period
     idx = grid_slots(series)
     n_full = int(idx[-1]) + 1
-    grid_t = series.t[0] + np.arange(n_full) * p
     base_present = np.zeros(n_full, dtype=bool)
     base_present[idx] = True
 
@@ -219,5 +221,5 @@ def preprocess_series(
     for ch in range(series.channels.shape[1]):
         values = np.zeros(n_full)
         values[idx] = series.channels[:, ch]
-        out[:, ch] = preprocess_channel(values, grid_t, base_present, k0=k0, delta_a=delta_a)
-    return SensorSeries(grid_t, out, sample_period=p)
+        out[:, ch] = preprocess_channel(values, base_present, k0=k0, delta_a=delta_a)
+    return SensorSeries(series.t[0] + np.arange(n_full) * p, out, sample_period=p)

@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import StrokeSenseError
-from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries, grid_slots
+from .io import DEFAULT_PERIOD, N_CHANNELS, SensorSeries
 from .labels import IDLE, StrokeLabel
 from .windows import MotionWindow, cut_windows
 
@@ -106,34 +106,38 @@ def class_template(label: StrokeLabel, cfg: GenConfig) -> np.ndarray:
     return tpl.offset[None, :] + tpl.amp[None, :] * envelope[:, None] * carrier
 
 
+def layout(cfg: GenConfig) -> List[Tuple[int, int, str]]:
+    """The stream's spans on its sample grid, as (start, end, label) with
+    end exclusive: ``strokes_per_class`` rounds of the classes in order,
+    each stroke after an :data:`IDLE` gap of ``idle_fraction`` of the
+    timeline, unless that rounds to no row.  The spans tile ``[0, n)``."""
+    idle_len = int(round(cfg.width * cfg.idle_fraction / (1.0 - cfg.idle_fraction)))
+    spans, cursor = [], 0
+    for label in [*StrokeLabel] * cfg.strokes_per_class:
+        if idle_len:
+            spans.append((cursor, cursor + idle_len, IDLE))
+            cursor += idle_len
+        spans.append((cursor, cursor + cfg.width, label.name))
+        cursor += cfg.width
+    return spans
+
+
 def generate(cfg: GenConfig) -> Tuple[SensorSeries, List[Tuple[int, int, str]]]:
-    """Build the labeled stream.
+    """Build the labeled stream of :func:`layout`.
 
     Returns the series plus ground truth as (start, end, label) with end
-    exclusive, in the emitted series' index space.  Idle spans are labeled
-    :data:`IDLE`.
+    exclusive: the layout's spans moved to the rows that survive dropout.
+    Idle spans are labeled :data:`IDLE`.  Dropout never drops the first or
+    the last row, so the grid of the emitted rows is exactly the layout's.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    width = cfg.width
-    idle_len = 0
-    if cfg.idle_fraction > 0:
-        idle_len = int(round(width * cfg.idle_fraction / (1.0 - cfg.idle_fraction)))
-
     idle_base = np.zeros(N_CHANNELS)
     idle_base[2] = GRAVITY
-
-    blocks, truth, cursor = [], [], 0
-    for _ in range(cfg.strokes_per_class):
-        for label in StrokeLabel:
-            if idle_len:
-                blocks.append(np.tile(idle_base, (idle_len, 1)))
-                truth.append((cursor, cursor + idle_len, IDLE))
-                cursor += idle_len
-            blocks.append(class_template(label, cfg))
-            truth.append((cursor, cursor + width, label.name))
-            cursor += width
-
-    values = np.vstack(blocks)
+    truth = layout(cfg)
+    values = np.vstack([
+        np.tile(idle_base, (e - s, 1)) if label == IDLE else class_template(StrokeLabel[label], cfg)
+        for s, e, label in truth
+    ])
     n = values.shape[0]
     if cfg.noise_sigma > 0:
         values = values + rng.normal(0.0, 1.0, size=values.shape) * (
@@ -148,7 +152,7 @@ def generate(cfg: GenConfig) -> Tuple[SensorSeries, List[Tuple[int, int, str]]]:
     keep = np.ones(n, dtype=bool)
     if cfg.dropout_rate > 0:
         keep = rng.random(n) >= cfg.dropout_rate
-        keep[0] = True  # anchor the time origin
+        keep[[0, -1]] = True  # anchor both ends of the grid
 
     t = np.arange(n) * cfg.sample_period
     series = SensorSeries(t[keep], values[keep], sample_period=cfg.sample_period)
@@ -157,17 +161,6 @@ def generate(cfg: GenConfig) -> Tuple[SensorSeries, List[Tuple[int, int, str]]]:
         (int(kept_before[s]), int(kept_before[e]), label) for s, e, label in truth
     ]
     return series, remapped
-
-
-def truth_on_grid(
-    series: SensorSeries, truth: List[Tuple[int, int, str]]
-) -> List[Tuple[int, int, str]]:
-    """``truth`` moved from the rows of ``series`` to its nominal sample
-    grid, the rows :func:`~strokesense.preprocessing.preprocess_series`
-    restores: a span runs from its first to its last surviving row's grid
-    slot.  A span with no surviving row is dropped."""
-    slot = grid_slots(series)
-    return [(int(slot[s]), int(slot[e - 1]) + 1, label) for s, e, label in truth if e > s]
 
 
 def stroke_windows(

@@ -20,7 +20,7 @@ from strokesense.mlp import DEFAULT_EPOCHS, DEFAULT_LR
 from strokesense.pca import DEFAULT_RETENTION
 from strokesense.preprocessing import DEFAULT_K0
 from strokesense.scoring import StandardProfile, score_window
-from strokesense.synth import GenConfig, generate
+from strokesense.synth import GenConfig, generate, layout
 from strokesense.windows import DEFAULT_OVERLAP, DEFAULT_WIDTH, MotionWindow
 
 
@@ -187,6 +187,14 @@ class TestFaultyCorpus:
         clean = parse_series((d / "clean.csv").read_text())
         assert _read_spans(d / "labels.csv", clean, d / "clean.csv", 1)[-1][1] == len(clean)
 
+    def test_labels_are_the_generator_layout(self, faulty):
+        d, _ = faulty
+        clean = parse_series((d / "clean.csv").read_text())
+        cfg = GenConfig(seed=1, strokes_per_class=10, spike_rate=0.002, dropout_rate=0.01)
+        assert _read_spans(d / "labels.csv", clean, d / "clean.csv", 1) == layout(cfg)
+        # the last row of this span, 3145, was dropped: the span still ends past it
+        assert "\n2946,3146,FOREHAND_CHOP\n" in (d / "labels.csv").read_text()
+
     def test_segment_rejects_labels_past_the_rows_of_in(self, faulty, tmp_path, capsys):
         d, _ = faulty
         data, labels, out = d / "data.csv", d / "labels.csv", tmp_path / "windows.csv"
@@ -203,8 +211,8 @@ class TestFaultyCorpus:
         assert not out.exists()
 
     def test_labels_may_hold_a_one_row_span(self, tmp_path):
-        # the floor of a labels.csv span is 1 row: this corpus has a 1-row IDLE gap
-        assert run("synth", "--seed", 1, "--strokes-per-class", 20, "--idle-fraction", 0.01,
+        # the floor of a labels.csv span is 1 row: this corpus has 1-row IDLE gaps
+        assert run("synth", "--seed", 1, "--strokes-per-class", 20, "--idle-fraction", 0.005,
                    "--dropout-rate", 0.01, "--spike-rate", 0.002, "--out", tmp_path) == 0
         data, clean = tmp_path / "data.csv", tmp_path / "clean.csv"
         assert run("preprocess", "--in", data, "--out", clean) == 0

@@ -173,10 +173,11 @@ class TestPreprocessSeriesOracle:
     def test_faulty_corpus_bit_equal(self, seed):
         series = _faulty(seed)
         grid_t, present, values = _grid(series)
+        slots = np.arange(len(grid_t), dtype=float)  # the chain fills on slots, not times
         want = np.empty_like(values)
         for ch in range(values.shape[1]):
-            filled = reference_newton_fill(values[:, ch], grid_t, present)
-            cleaned = reference_newton_fill(filled, grid_t, remove_outliers(filled))
+            filled = reference_newton_fill(values[:, ch], slots, present)
+            cleaned = reference_newton_fill(filled, slots, remove_outliers(filled))
             delta_a = DEFAULT_DELTA_A_FRACTION * float(cleaned.max() - cleaned.min())
             want[:, ch] = reference_adaptive_filter(cleaned, DEFAULT_K0, delta_a)
         got = preprocess_series(series)

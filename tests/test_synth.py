@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from strokesense.errors import StrokeSenseError
-from strokesense.io import SensorSeries
 from strokesense.labels import IDLE, StrokeLabel
 from strokesense.preprocessing import preprocess_series
 from strokesense.synth import (
@@ -11,8 +10,8 @@ from strokesense.synth import (
     GenConfig,
     class_template,
     generate,
+    layout,
     stroke_windows,
-    truth_on_grid,
 )
 
 
@@ -111,24 +110,29 @@ class TestGenerate:
         assert (np.diff(series.t) > 0).all()
 
 
-class TestTruthOnGrid:
-    def test_identity_without_dropout(self):
-        series, truth = generate(GenConfig(seed=2, strokes_per_class=2, spike_rate=0.002))
-        assert truth_on_grid(series, truth) == truth
+class TestLayout:
+    @pytest.mark.parametrize("idle_fraction", [0.0, 0.005, 0.3])
+    def test_spans_tile_the_grid_in_class_order(self, idle_fraction):
+        cfg = GenConfig(strokes_per_class=3, idle_fraction=idle_fraction)
+        spans = layout(cfg)
+        assert spans[0][0] == 0
+        assert all(e == s for (_, e, _), (s, _, _) in zip(spans, spans[1:]))
+        assert all(e > s for s, e, _ in spans)
+        strokes = [label for *_, label in spans if label != IDLE]
+        assert strokes == [label.name for label in StrokeLabel] * 3
+        assert spans[-1][1] == len(generate(cfg)[0])
 
-    def test_spans_index_the_cleaned_grid(self):
-        series, truth = generate(GenConfig(seed=4, strokes_per_class=3, dropout_rate=0.05))
-        clean = preprocess_series(series)
-        grid = truth_on_grid(series, truth)
-        assert [label for *_, label in grid] == [label for *_, label in truth]
-        assert grid[-1][1] == len(clean) > len(series)
-        for (s, e, _), (gs, ge, _) in zip(truth, grid):
-            np.testing.assert_allclose(clean.t[[gs, ge - 1]], series.t[[s, e - 1]])
+    def test_truth_is_the_layout_without_dropout(self):
+        cfg = GenConfig(seed=2, strokes_per_class=2, spike_rate=0.002)
+        assert generate(cfg)[1] == layout(cfg)
 
-    def test_span_with_no_surviving_row_dropped(self):
-        series = SensorSeries(np.array([0.0, 0.01, 0.03]), np.zeros((3, 9)), sample_period=0.01)
-        truth = [(0, 2, "FOREHAND_ATTACK"), (2, 2, IDLE), (2, 3, "BACKHAND_CHOP")]
-        assert truth_on_grid(series, truth) == [(0, 2, "FOREHAND_ATTACK"), (3, 4, "BACKHAND_CHOP")]
+    def test_dropout_keeps_both_ends_of_the_grid(self):
+        # this stream's last row drew a dropout
+        cfg = GenConfig(seed=31, strokes_per_class=2, dropout_rate=0.01)
+        series, _ = generate(cfg)
+        assert series.t[0] == 0.0
+        assert series.t[-1] == (layout(cfg)[-1][1] - 1) * cfg.sample_period
+        assert len(preprocess_series(series)) == layout(cfg)[-1][1]
 
 
 @pytest.mark.parametrize("field", ["period", "sample_period"])
